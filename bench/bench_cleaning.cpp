@@ -1,9 +1,9 @@
-// Columnar-cleaning benchmarks: the SoA RecordBlock pipeline (reused block +
-// CleanerScratch arena, combined SnapIfOutside pass 4) vs the retained AoS
-// reference implementation, at 1x / 4x / 16x venue scale with the vectorized
-// kernels on and off, the snap-heavy high-noise configuration the vectorized
-// pass-4 batch targets, the parallel intra-sequence passes at 1–8 threads,
-// and the batched vs per-record snap query. Records/sec is reported as
+// Columnar-cleaning benchmarks: the vectorized SoA RecordBlock pipeline
+// (reused block + CleanerScratch arena, batched snap in pass 4) vs the AoS
+// reference cleaner of tests/testing/reference_cleaner.h, at 1x / 4x / 16x
+// venue scale, the snap-heavy high-noise configuration the pass-4 batch
+// targets, the parallel intra-sequence passes at 1–8 threads, and the
+// batched vs per-record snap query. Records/sec is reported as
 // items_per_second; spatial snap-probe counts per sequence ride along as
 // counters (probes are reset per benchmark, so each row reports its own
 // config's probe cost). Run through bench/run_benches.sh to capture
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "testing/reference_cleaner.h"
 
 using namespace trips;
 
@@ -85,24 +86,21 @@ constexpr int kSeqRecords = 4096;
 
 void BM_Clean_AoSReference(benchmark::State& state) {
   bench::MallContext& ctx = ContextFor(static_cast<int>(state.range(0)));
-  cleaning::RawDataCleaner cleaner(ctx.dsm.get(), ctx.planner.get(),
-                                   BenchCleanerOptions());
+  cleaning::testing::ReferenceCleaner reference(ctx.dsm.get(), ctx.planner.get(),
+                                                BenchCleanerOptions());
   positioning::PositioningSequence raw = NoisyWalk(ctx, kSeqRecords, 17);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cleaner.CleanReference(raw));
+    benchmark::DoNotOptimize(reference.Clean(raw));
   }
   state.SetItemsProcessed(state.iterations() * raw.records.size());
   SetCounters(state, *ctx.dsm, raw.records.size());
 }
 BENCHMARK(BM_Clean_AoSReference)->Arg(1)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
 
-// state.range(1): vectorized kernels off (0 = the scalar per-record SoA path,
-// the pre-vectorization baseline) or on (1).
 void BM_Clean_SoA(benchmark::State& state) {
   bench::MallContext& ctx = ContextFor(static_cast<int>(state.range(0)));
-  cleaning::CleanerOptions opt = BenchCleanerOptions();
-  opt.vectorize = state.range(1) != 0;
-  cleaning::RawDataCleaner cleaner(ctx.dsm.get(), ctx.planner.get(), opt);
+  cleaning::RawDataCleaner cleaner(ctx.dsm.get(), ctx.planner.get(),
+                                   BenchCleanerOptions());
   positioning::PositioningSequence raw = NoisyWalk(ctx, kSeqRecords, 17);
   // Steady-state block pipeline: the work block and scratch arena are reused
   // across sequences (reserve-once), as a translation worker holds them.
@@ -118,9 +116,7 @@ void BM_Clean_SoA(benchmark::State& state) {
   SetCounters(state, *ctx.dsm, raw.records.size());
   SetProbeCounters(state, *ctx.dsm);
 }
-BENCHMARK(BM_Clean_SoA)
-    ->ArgsProduct({{1, 4, 16}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Clean_SoA)->Arg(1)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
 
 // The snap-heavy configuration: sparse fixes (120 s spacing) with 70 m jitter
 // — slow enough that the speed scan accepts nearly everything (no route
@@ -130,9 +126,8 @@ BENCHMARK(BM_Clean_SoA)
 // ring-seeded batch snap targets.
 void BM_Clean_SoA_HighNoise(benchmark::State& state) {
   bench::MallContext& ctx = ContextFor(static_cast<int>(state.range(0)));
-  cleaning::CleanerOptions opt = BenchCleanerOptions();
-  opt.vectorize = state.range(1) != 0;
-  cleaning::RawDataCleaner cleaner(ctx.dsm.get(), ctx.planner.get(), opt);
+  cleaning::RawDataCleaner cleaner(ctx.dsm.get(), ctx.planner.get(),
+                                   BenchCleanerOptions());
   positioning::PositioningSequence raw = [&] {
     geo::BoundingBox bounds = ctx.dsm->FloorBounds(0);
     double x_lo = bounds.min.x + 5, x_hi = bounds.max.x - 5;
@@ -167,21 +162,16 @@ void BM_Clean_SoA_HighNoise(benchmark::State& state) {
   SetCounters(state, *ctx.dsm, raw.records.size());
   SetProbeCounters(state, *ctx.dsm);
 }
-BENCHMARK(BM_Clean_SoA_HighNoise)
-    ->ArgsProduct({{1, 4, 16}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Clean_SoA_HighNoise)->Arg(1)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
 
 // ---- parallel intra-sequence cleaning, 1–8 threads --------------------------
 
 // state.range(0): venue scale; state.range(1): total threads (pool workers =
-// threads - 1; the calling thread participates in ParallelFor);
-// state.range(2): vectorized kernels off/on — thread scaling and
-// vectorization compose, so both axes are reported.
+// threads - 1; the calling thread participates in ParallelFor).
 void BM_Clean_SoA_Threads(benchmark::State& state) {
   bench::MallContext& ctx = ContextFor(static_cast<int>(state.range(0)));
   cleaning::CleanerOptions opt = BenchCleanerOptions();
   opt.parallel_min_records = 2048;
-  opt.vectorize = state.range(2) != 0;
   cleaning::RawDataCleaner cleaner(ctx.dsm.get(), ctx.planner.get(), opt);
   positioning::PositioningSequence raw = NoisyWalk(ctx, 32768, 23);
   util::ThreadPool pool(static_cast<size_t>(state.range(1)) - 1);
@@ -196,7 +186,7 @@ void BM_Clean_SoA_Threads(benchmark::State& state) {
   SetCounters(state, *ctx.dsm, raw.records.size());
 }
 BENCHMARK(BM_Clean_SoA_Threads)
-    ->ArgsProduct({{16}, {1, 2, 4, 8}, {0, 1}})
+    ->ArgsProduct({{16}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -101,8 +101,7 @@ BENCHMARK(BM_ServiceBatchThroughput)
     ->Unit(benchmark::kMillisecond);
 
 // Streaming throughput: one producer feeding a stream session record by
-// record with periodic polls — the OnlineTranslator contract re-expressed
-// over the shared engine.
+// record, results delivered to a sink by the final FlushAll.
 void BM_StreamSessionIngest(benchmark::State& state) {
   static MallContext ctx = MallContext::Make(7, 3);
   static std::shared_ptr<const core::Engine> engine = SharedEngine(ctx);

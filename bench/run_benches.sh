@@ -4,9 +4,10 @@
 #   BENCH_spatial.json  — spatial-index fast path (point location, snapping,
 #                         memoized routing, batch distances, venue scaling)
 #   BENCH_service.json  — end-to-end Service translation throughput
-#   BENCH_cleaning.json — columnar cleaning: SoA RecordBlock + scratch reuse
-#                         vs the AoS reference with the vectorized kernels on
-#                         and off, the snap-heavy high-noise configuration,
+#   BENCH_cleaning.json — columnar cleaning: the vectorized SoA RecordBlock
+#                         pipeline + scratch reuse vs the AoS reference
+#                         cleaner (tests/testing/reference_cleaner.h), the
+#                         snap-heavy high-noise configuration,
 #                         parallel passes at 1-8 threads, combined
 #                         SnapIfOutside vs the two-call pair, and the batched
 #                         vs per-record snap (with snap-probe counters)

@@ -13,16 +13,15 @@
 // anchor scan, (2) DSM-guided interpolation of the invalid runs, (3) optional
 // planar smoothing, (4) snap-back into walkable space. Passes 2 and 4 operate
 // on disjoint records, so for long sequences they fan out over an optional
-// util::ThreadPool with bit-identical, worker-count-independent results. With
-// CleanerOptions::vectorize (the default) passes 1, 3 and 4 run through
-// SIMD-friendly kernels — branch-free mask columns, per-run window sweeps and
-// the cell-sorted batched snap — that evaluate the same arithmetic in the
-// same per-element order as the scalar loops, so their output stays
-// byte-identical (tests/cleaning_vector_test.cc enforces this; ci.yml checks
-// the kernels actually vectorize). The AoS Clean(PositioningSequence) entry
-// point is a shim that delegates through a per-thread block; CleanReference
-// retains the original AoS implementation for parity tests and before/after
-// benchmarks.
+// util::ThreadPool with bit-identical, worker-count-independent results.
+// Passes 1, 3 and 4 run through SIMD-friendly kernels — branch-free mask
+// columns, per-run window sweeps and the cell-sorted batched snap — that
+// evaluate the same arithmetic in the same per-element order as the
+// per-record loops of the AoS oracle in tests/testing/reference_cleaner.h, so
+// their output is byte-identical to it (tests/cleaning_vector_test.cc
+// enforces this; ci.yml checks the kernels actually vectorize). The AoS
+// Clean(PositioningSequence) entry point is a shim that delegates through a
+// per-thread block.
 #pragma once
 
 #include <cstddef>
@@ -67,15 +66,6 @@ struct CleanerOptions {
   /// (interpolation) and 4 (snapping) in parallel when a thread pool is
   /// passed to Clean/CleanBlock; shorter sequences always clean serially.
   size_t parallel_min_records = 4096;
-  /// Run the passes through the vectorized kernels: pass 1's branch-free
-  /// speed/floor mask columns with the connector probes hoisted into a
-  /// pre-pass, pass 3's per-floor-run shifted-column window sweeps, and pass
-  /// 4's cell-sorted Dsm::SnapIfOutsideBatch. Byte-identical to the scalar
-  /// per-record path (the kernels evaluate the same arithmetic in the same
-  /// per-element order) — the toggle exists for the parity suites and the
-  /// before/after benchmarks. The TRIPS_CLEAN_NO_VECTOR environment variable
-  /// (any value except "" / "0") forces it off at cleaner construction.
-  bool vectorize = true;
 };
 
 /// Per-pass observability of CleanBlock (clean.scan_ns / clean.interpolate_ns
@@ -116,8 +106,7 @@ struct CleanerScratch {
   /// Pass-3 smoothing output columns.
   std::vector<double> smooth_x;
   std::vector<double> smooth_y;
-  // ---- vectorized-kernel columns (options.vectorize; one slot per adjacent
-  // record pair unless noted) ----
+  // ---- kernel columns (one slot per adjacent record pair unless noted) ----
   /// Pair timestamp deltas, milliseconds as doubles.
   std::vector<double> adj_dt_ms;
   /// 1.0 where pair (i, i+1) satisfies the planar speed constraint, else 0.0
@@ -160,13 +149,6 @@ class RawDataCleaner {
                                          CleaningReport* report = nullptr,
                                          util::ThreadPool* pool = nullptr) const;
 
-  /// Reference AoS implementation of Clean (the pre-columnar code path),
-  /// retained for the SoA==AoS parity suite and the before/after cleaning
-  /// benchmarks. Always serial.
-  positioning::PositioningSequence CleanReference(
-      const positioning::PositioningSequence& raw,
-      CleaningReport* report = nullptr) const;
-
   /// The minimum indoor walking distance between two located records,
   /// including the floor-change penalty — the quantity the speed constraint
   /// checks.
@@ -192,32 +174,22 @@ class RawDataCleaner {
   // Checks the hoisted connector list (bbox prefilter + the original polygon
   // tests) — identical answers to the full entity scan it replaces.
   bool NearVerticalConnector(const geo::Point2& p) const;
-  // Frozen legacy helpers for CleanReference: the original per-query scan
-  // over every DSM entity, kept as the before/after benchmark baseline.
-  bool NearVerticalConnectorReference(const geo::Point2& p) const;
-  bool ViolatesSpeedReference(const geo::IndoorPoint& a, const geo::IndoorPoint& b,
-                              DurationMs dt_ms) const;
 
   // Pass 1: sequential speed-constraint anchor scan with floor correction;
-  // clears validity bits of the violators left for interpolation. Dispatches
-  // on options().vectorize between the original per-record scan and the
-  // mask-column form (precomputed pair masks + hoisted connector probes).
+  // clears validity bits of the violators left for interpolation. Consumes
+  // precomputed pair mask columns and hoisted connector probes.
   void ScanPass(positioning::RecordBlock* block, CleanerScratch* scratch,
                 CleaningReport* report) const;
-  void ScanPassScalar(positioning::RecordBlock* block,
-                      CleaningReport* report) const;
-  void ScanPassVector(positioning::RecordBlock* block, CleanerScratch* scratch,
-                      CleaningReport* report) const;
   // Pass 2: DSM-guided interpolation of the invalid runs (parallel over runs).
   void InterpolatePass(positioning::RecordBlock* block, CleanerScratch* scratch,
                        CleaningReport* report, util::ThreadPool* pool) const;
-  // Pass 3: centred per-floor moving average (columnar, serial). The
-  // vectorized form sweeps shifted columns over each floor run's interior
-  // (same adds in the same per-element order as the scalar window loop).
+  // Pass 3: centred per-floor moving average (columnar, serial): shifted-
+  // column sweeps over each floor run's interior (same adds in the same
+  // per-element order as a per-record window loop).
   void SmoothPass(positioning::RecordBlock* block, CleanerScratch* scratch,
                   CleaningReport* report) const;
-  // Pass 4: snap records outside walkable space (parallel over chunks; the
-  // vectorized form feeds each chunk through Dsm::SnapIfOutsideBatch).
+  // Pass 4: snap records outside walkable space (parallel over chunks, each
+  // fed through Dsm::SnapIfOutsideBatch).
   void SnapPass(positioning::RecordBlock* block, CleanerScratch* scratch,
                 CleaningReport* report, util::ThreadPool* pool) const;
 

@@ -1,36 +1,16 @@
 #include "cluster/cluster.h"
 
-#include <algorithm>
-#include <thread>
-
 #include "obs/statsz.h"
 
 namespace trips::cluster {
-
-namespace {
-
-size_t ResolveWorkers(size_t requested) {
-  if (requested != ClusterOptions::kAutoWorkerThreads) return requested;
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw <= 1) return 0;
-  return std::min<size_t>(hw - 1, 8);
-}
-
-}  // namespace
 
 Cluster::Cluster(ClusterOptions options)
     : options_(options),
       metrics_(options.metrics != nullptr
                    ? options.metrics
                    : std::make_shared<obs::MetricsRegistry>()),
-      pool_(ResolveWorkers(options.worker_threads)) {
-  pool_.SetMetrics(util::PoolMetrics{
-      metrics_->gauge("pool.queue_depth"),
-      metrics_->histogram("pool.task_wait_ns"),
-      metrics_->histogram("pool.task_run_ns"),
-      metrics_->counter("pool.tasks_run"),
-  });
-  metrics_->gauge("pool.workers")->Set(static_cast<int64_t>(pool_.worker_count()));
+      pool_(core::ResolveWorkerThreads(options.worker_threads)) {
+  core::WirePoolMetrics(pool_, *metrics_);
 
   // Cluster-wide rollups plus routing/spatial cache gauges summed over every
   // venue engine. The callbacks capture `this`, so the destructor removes
@@ -63,52 +43,13 @@ Cluster::Cluster(ClusterOptions options)
     return static_cast<int64_t>(
         dropped_unknown_.load(std::memory_order_relaxed));
   });
-  add("routing.cache_hits", [this] {
-    int64_t total = 0;
-    for (VenueShard* shard : SnapshotShards()) {
-      total += static_cast<int64_t>(shard->engine->routing_cache_stats().hits);
-    }
-    return total;
-  });
-  add("routing.cache_misses", [this] {
-    int64_t total = 0;
-    for (VenueShard* shard : SnapshotShards()) {
-      total +=
-          static_cast<int64_t>(shard->engine->routing_cache_stats().misses);
-    }
-    return total;
-  });
-  add("routing.cache_evictions", [this] {
-    int64_t total = 0;
-    for (VenueShard* shard : SnapshotShards()) {
-      total +=
-          static_cast<int64_t>(shard->engine->routing_cache_stats().evictions);
-    }
-    return total;
-  });
-  add("routing.cache_size", [this] {
-    int64_t total = 0;
-    for (VenueShard* shard : SnapshotShards()) {
-      total += static_cast<int64_t>(shard->engine->routing_cache_stats().size);
-    }
-    return total;
-  });
-  add("spatial.partition_probes", [this] {
-    int64_t total = 0;
-    for (VenueShard* shard : SnapshotShards()) {
-      total += static_cast<int64_t>(
-          shard->engine->spatial_probe_stats().partition_probes);
-    }
-    return total;
-  });
-  add("spatial.snap_probes", [this] {
-    int64_t total = 0;
-    for (VenueShard* shard : SnapshotShards()) {
-      total += static_cast<int64_t>(
-          shard->engine->spatial_probe_stats().snap_probes);
-    }
-    return total;
-  });
+  for (const core::EngineGauge& gauge : core::kEngineGauges) {
+    add(gauge.name, [this, read = gauge.read] {
+      int64_t total = 0;
+      for (VenueShard* shard : SnapshotShards()) total += read(*shard->engine);
+      return total;
+    });
+  }
 }
 
 Cluster::~Cluster() {
@@ -134,15 +75,9 @@ Status Cluster::AddVenue(VenueConfig config) {
   // Shards lean on the cluster's shared pool for scans and background
   // compaction instead of spawning per-venue workers (venues_ is destroyed
   // before pool_, so the pool outlives every store).
-  auto store = store::TripStore::Open(
-      {.directory = config.store_directory,
-       .segment_max_sequences = config.segment_max_sequences,
-       .worker_threads = 0,
-       .mmap = config.store_mmap,
-       .partition_ms = config.store_partition_ms,
-       .compaction = config.store_compaction,
-       .shared_pool = &pool_,
-       .metrics = metrics_});
+  auto store = store::TripStore::Open({.directory = config.store_directory,
+                                       .shared_pool = &pool_,
+                                       .metrics = metrics_});
   TRIPS_RETURN_NOT_OK(store.status());
   shard->store = std::move(store).ValueOrDie();
   // Seed the lock-free stored counter with what the reopened store already

@@ -39,6 +39,7 @@
 
 #include "core/analytics.h"
 #include "core/engine.h"
+#include "core/service.h"
 #include "core/session.h"
 #include "obs/metrics.h"
 #include "store/trip_store.h"
@@ -56,18 +57,10 @@ struct VenueConfig {
   /// Flush policy of the venue's stream session.
   core::StreamOptions stream = {};
   /// Segment directory of the venue's trip store. Empty: memory-only (the
-  /// venue still answers history/analytics queries, nothing hits disk).
+  /// venue still answers history/analytics queries, nothing hits disk). The
+  /// store otherwise runs with store::StoreOptions defaults, on the cluster's
+  /// shared pool and registry.
   std::string store_directory;
-  /// Sequences per store segment before sealing.
-  size_t segment_max_sequences = 256;
-  /// Width of the store's time-partition directories (<= 0: flat layout).
-  DurationMs store_partition_ms = kMillisPerDay;
-  /// Memory-map sealed segments and decode lazily on reopen (see
-  /// store::StoreOptions::mmap).
-  bool store_mmap = true;
-  /// Merge small sealed segments in the background after PersistAll (runs on
-  /// the cluster's shared pool).
-  bool store_compaction = true;
 };
 
 /// Cluster-level options.
@@ -75,7 +68,7 @@ struct ClusterOptions {
   /// Workers in the pool shared by every shard (flush translation fan-out and
   /// query fan-out). kAutoWorkerThreads sizes to the hardware; 0 runs
   /// everything on calling threads (deterministic serial mode).
-  static constexpr size_t kAutoWorkerThreads = static_cast<size_t>(-1);
+  static constexpr size_t kAutoWorkerThreads = core::ServiceOptions::kAutoWorkerThreads;
   size_t worker_threads = kAutoWorkerThreads;
   /// Metrics registry the cluster, its pool, and every venue's session and
   /// store record into. Null (the default) makes the cluster create its own.

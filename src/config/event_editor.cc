@@ -9,7 +9,6 @@ Status EventEditor::DefinePattern(const std::string& name,
   if (name.empty()) return Status::InvalidArgument("pattern name must be non-empty");
   if (HasPattern(name)) return Status::AlreadyExists("pattern '" + name + "'");
   patterns_.push_back({name, description});
-  ++revision_;
   return Status::OK();
 }
 
@@ -23,7 +22,6 @@ Status EventEditor::RemovePattern(const std::string& name) {
                                    return s.event == name;
                                  }),
                   training_.end());
-  ++revision_;
   return Status::OK();
 }
 
@@ -35,7 +33,6 @@ Status EventEditor::DesignateSegment(const std::string& pattern,
   }
   segment.SortByTime();
   training_.push_back({pattern, std::move(segment)});
-  ++revision_;
   return Status::OK();
 }
 

@@ -57,16 +57,9 @@ class EventEditor {
   /// Number of designated segments per pattern.
   std::map<std::string, size_t> SegmentCounts() const;
 
-  /// Monotonic counter bumped by every successful mutation (pattern defined
-  /// or removed, segment designated). Lets consumers that train from the
-  /// editor (e.g. core::Pipeline rebuilding its engine) detect whether the
-  /// corpus changed since they last read it.
-  size_t revision() const { return revision_; }
-
  private:
   std::vector<EventPattern> patterns_;
   std::vector<LabeledSegment> training_;
-  size_t revision_ = 0;
 };
 
 }  // namespace trips::config

@@ -7,16 +7,46 @@
 
 namespace trips::core {
 
-namespace {
-
-size_t ResolveWorkers(size_t requested) {
+size_t ResolveWorkerThreads(size_t requested) {
   if (requested != ServiceOptions::kAutoWorkerThreads) return requested;
   unsigned hw = std::thread::hardware_concurrency();
   if (hw <= 1) return 0;
   return std::min<size_t>(hw - 1, 8);
 }
 
-}  // namespace
+void WirePoolMetrics(util::ThreadPool& pool, obs::MetricsRegistry& registry) {
+  pool.SetMetrics(util::PoolMetrics{
+      registry.gauge("pool.queue_depth"),
+      registry.histogram("pool.task_wait_ns"),
+      registry.histogram("pool.task_run_ns"),
+      registry.counter("pool.tasks_run"),
+  });
+  registry.gauge("pool.workers")->Set(static_cast<int64_t>(pool.worker_count()));
+}
+
+// Pull-style gauges over state the engine already maintains.
+const std::array<EngineGauge, 8> kEngineGauges = {{
+    {"routing.cache_hits",
+     [](const Engine& e) { return static_cast<int64_t>(e.routing_cache_stats().hits); }},
+    {"routing.cache_misses",
+     [](const Engine& e) { return static_cast<int64_t>(e.routing_cache_stats().misses); }},
+    {"routing.cache_evictions",
+     [](const Engine& e) { return static_cast<int64_t>(e.routing_cache_stats().evictions); }},
+    {"routing.cache_size",
+     [](const Engine& e) { return static_cast<int64_t>(e.routing_cache_stats().size); }},
+    {"spatial.partition_probes",
+     [](const Engine& e) {
+       return static_cast<int64_t>(e.spatial_probe_stats().partition_probes);
+     }},
+    {"spatial.region_probes",
+     [](const Engine& e) { return static_cast<int64_t>(e.spatial_probe_stats().region_probes); }},
+    {"spatial.snap_probes",
+     [](const Engine& e) { return static_cast<int64_t>(e.spatial_probe_stats().snap_probes); }},
+    {"spatial.snapped_outside",
+     [](const Engine& e) {
+       return static_cast<int64_t>(e.spatial_probe_stats().snapped_outside);
+     }},
+}};
 
 Service::Service(std::shared_ptr<const Engine> engine, ServiceOptions options)
     : engine_(std::move(engine)),
@@ -24,41 +54,15 @@ Service::Service(std::shared_ptr<const Engine> engine, ServiceOptions options)
       metrics_(options.metrics != nullptr
                    ? options.metrics
                    : std::make_shared<obs::MetricsRegistry>()),
-      pool_(ResolveWorkers(options.worker_threads)) {
-  pool_.SetMetrics(util::PoolMetrics{
-      metrics_->gauge("pool.queue_depth"),
-      metrics_->histogram("pool.task_wait_ns"),
-      metrics_->histogram("pool.task_run_ns"),
-      metrics_->counter("pool.tasks_run"),
-  });
-  metrics_->gauge("pool.workers")->Set(static_cast<int64_t>(pool_.worker_count()));
-  // Pull-style gauges over state the engine already maintains; the callbacks
-  // co-own the engine, so they stay valid as long as the registry lives.
-  std::shared_ptr<const Engine> eng = engine_;
-  metrics_->SetCallback("routing.cache_hits", [eng] {
-    return static_cast<int64_t>(eng->routing_cache_stats().hits);
-  });
-  metrics_->SetCallback("routing.cache_misses", [eng] {
-    return static_cast<int64_t>(eng->routing_cache_stats().misses);
-  });
-  metrics_->SetCallback("routing.cache_evictions", [eng] {
-    return static_cast<int64_t>(eng->routing_cache_stats().evictions);
-  });
-  metrics_->SetCallback("routing.cache_size", [eng] {
-    return static_cast<int64_t>(eng->routing_cache_stats().size);
-  });
-  metrics_->SetCallback("spatial.partition_probes", [eng] {
-    return static_cast<int64_t>(eng->spatial_probe_stats().partition_probes);
-  });
-  metrics_->SetCallback("spatial.region_probes", [eng] {
-    return static_cast<int64_t>(eng->spatial_probe_stats().region_probes);
-  });
-  metrics_->SetCallback("spatial.snap_probes", [eng] {
-    return static_cast<int64_t>(eng->spatial_probe_stats().snap_probes);
-  });
-  metrics_->SetCallback("spatial.snapped_outside", [eng] {
-    return static_cast<int64_t>(eng->spatial_probe_stats().snapped_outside);
-  });
+      pool_(ResolveWorkerThreads(options.worker_threads)) {
+  WirePoolMetrics(pool_, *metrics_);
+  // The callbacks co-own the engine, so they stay valid as long as the
+  // registry lives.
+  for (const EngineGauge& gauge : kEngineGauges) {
+    metrics_->SetCallback(gauge.name, [eng = engine_, read = gauge.read] {
+      return read(*eng);
+    });
+  }
 }
 
 std::unique_ptr<BatchSession> Service::NewBatchSession() {

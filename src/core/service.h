@@ -1,7 +1,8 @@
 // The translation service: owns one immutable core::Engine plus a small
 // shared worker pool, and hands out per-client sessions. This is the single
-// front door for both batch and streaming translation; core::Pipeline and
-// core::OnlineTranslator remain as thin deprecated adapters over it.
+// front door for both batch and streaming translation of one venue;
+// cluster::Cluster serves many venues with the same pool and metrics wiring
+// (ResolveWorkerThreads, WirePoolMetrics, kEngineGauges below).
 //
 //     auto engine = core::Engine::Builder().SetDsm(std::move(mall)).Build();
 //     core::Service service(engine.ValueOrDie(), {.worker_threads = 4});
@@ -18,6 +19,8 @@
 // Sessions must not outlive the service that created them.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <ostream>
 
@@ -45,6 +48,24 @@ struct ServiceOptions {
   /// translation output.
   std::shared_ptr<obs::MetricsRegistry> metrics;
 };
+
+/// The pool size a worker_threads option resolves to: the option itself, or
+/// for ServiceOptions::kAutoWorkerThreads hardware_concurrency - 1 capped at 8
+/// (0 on a single core).
+size_t ResolveWorkerThreads(size_t requested);
+
+/// Points `pool`'s observability hooks at the pool.* metrics of `registry`
+/// and publishes its worker count as pool.workers.
+void WirePoolMetrics(util::ThreadPool& pool, obs::MetricsRegistry& registry);
+
+/// One routing.* / spatial.* callback gauge: its /statsz name and how to read
+/// it off one engine. A Service registers each over its engine, a Cluster
+/// each summed over every venue's engine, so both export the same names.
+struct EngineGauge {
+  const char* name;
+  int64_t (*read)(const Engine& engine);
+};
+extern const std::array<EngineGauge, 8> kEngineGauges;
 
 /// Facade over one engine: creates batch and stream sessions that share it.
 class Service {

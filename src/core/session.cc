@@ -117,15 +117,6 @@ StreamSession::StreamSession(std::shared_ptr<const Engine> engine,
       pool_(pool),
       metrics_(std::move(metrics)),
       shards_(std::max<size_t>(1, options.buffer_shards)) {
-  WireMetrics();
-}
-
-StreamSession::StreamSession(TranslateFn translate, StreamOptions options)
-    : translate_(std::move(translate)),
-      options_(options),
-      shards_(std::max<size_t>(1, options.buffer_shards)) {}
-
-void StreamSession::WireMetrics() {
   if (metrics_ == nullptr) return;
   stages_ = ResolveStageMetrics(metrics_.get());
   stream_metrics_.records_ingested = metrics_->counter("stream.records_ingested");
@@ -211,7 +202,7 @@ void StreamSession::SortPoppedByDevice(std::vector<PoppedBuffer>* popped) {
             });
 }
 
-Result<std::vector<TranslationResult>> StreamSession::TranslateAndDeliver(
+std::vector<TranslationResult> StreamSession::TranslateAndDeliver(
     std::vector<PoppedBuffer> popped) {
   // Fast path for the overwhelmingly common no-flush case (every Ingest that
   // doesn't hit the cap, every Poll with no idle device).
@@ -219,21 +210,14 @@ Result<std::vector<TranslationResult>> StreamSession::TranslateAndDeliver(
   // `popped` arrives in device-id order (callers re-sort after gathering from
   // several buffer shards), so emission order is independent of the shard
   // layout; the translation (the expensive part) runs without any lock held.
-  // Engine-backed sessions feed the buffered columns straight into the block
-  // pipeline; hook-backed sessions (the deprecated OnlineTranslator adapter)
-  // materialize the AoS sequence their callback expects.
+  // The buffered columns feed straight into the engine's block pipeline.
   std::vector<TranslationResult> out;
   out.reserve(popped.size());
   for (PoppedBuffer& popped_buffer : popped) {
     positioning::RecordBlock& block = popped_buffer.block;
     size_t flushed_records = block.Size();
-    TranslationResult result;
-    if (engine_ != nullptr) {
-      result = engine_->TranslateBlockWith(&block, engine_->knowledge(), pool_,
-                                           &stages_);
-    } else {
-      TRIPS_ASSIGN_OR_RETURN(result, translate_(block.ToSequence()));
-    }
+    TranslationResult result =
+        engine_->TranslateBlockWith(&block, engine_->knowledge(), pool_, &stages_);
     result.trace.ingest_steady_ns = popped_buffer.ingest_ns;
     if (stream_metrics_.flushes != nullptr) stream_metrics_.flushes->Add(1);
     if (stream_metrics_.flush_records != nullptr) {

@@ -2,8 +2,10 @@
 // borrows an immutable core::Engine (shared with any number of sibling
 // sessions) and adds what one client conversation needs on top of it —
 // batch-learned mobility knowledge for BatchSession, per-device stream
-// buffers for StreamSession. Sessions are created by core::Service and must
-// not outlive it (BatchSession fans work out over the service's thread pool).
+// buffers for StreamSession. Both translate through the engine's block
+// pipeline. Sessions are created by core::Service (stream sessions also by
+// cluster::Cluster, one per venue) and must not outlive it: they fan work out
+// over its thread pool.
 //
 // Both session types are internally synchronized: a BatchSession serializes
 // its Submit calls (each Submit is parallel inside), a StreamSession may be
@@ -143,24 +145,18 @@ class StreamSession {
  public:
   /// Receives flushed results when installed via SetSink.
   using Sink = std::function<void(TranslationResult)>;
-  /// Pluggable per-buffer translation (used by the OnlineTranslator shim to
-  /// keep translating through a caller-owned stateful Translator).
-  using TranslateFn =
-      std::function<Result<TranslationResult>(const positioning::PositioningSequence&)>;
 
-  /// Engine-backed session: buffers are translated with the engine's baseline
-  /// knowledge. `pool` (may be null; normally the owning Service's pool)
-  /// parallelizes cleaning inside long flushed buffers. `metrics` (may be
-  /// null) receives the stream ingest metrics — including the true
-  /// ingest-to-result latency: each device buffer is stamped when its FIRST
-  /// record arrives, and the stamp-to-delivery time of every flushed buffer
-  /// lands in stream.ingest_to_result_ns.
+  /// Buffers are translated with the engine's baseline knowledge. `pool` (may
+  /// be null; normally the owning Service's pool) parallelizes cleaning
+  /// inside long flushed buffers. `metrics` (may be null) receives the
+  /// stream ingest metrics — including the true ingest-to-result latency:
+  /// each device buffer is stamped when its FIRST record arrives, and the
+  /// stamp-to-delivery time of every flushed buffer lands in
+  /// stream.ingest_to_result_ns.
   explicit StreamSession(std::shared_ptr<const Engine> engine,
                          StreamOptions options = {},
                          util::ThreadPool* pool = nullptr,
                          std::shared_ptr<obs::MetricsRegistry> metrics = nullptr);
-  /// Hook-backed session: buffers are translated by `translate`.
-  explicit StreamSession(TranslateFn translate, StreamOptions options = {});
 
   /// Installs (or, with nullptr, removes) the delivery callback. The sink is
   /// invoked from whichever thread triggered the flush, one result at a time,
@@ -222,8 +218,6 @@ class StreamSession {
     obs::Histogram* ingest_to_result_ns = nullptr;
   };
 
-  // Shared ctor tail: resolves metric pointers out of metrics_.
-  void WireMetrics();
   // Now on the trace-stamp clock: options_.trace_clock when installed, else
   // obs::NowNanos(). Every ingest stamp and delivery reading goes through
   // this, so stamp and reading always share one time base.
@@ -243,11 +237,9 @@ class StreamSession {
   // Translates popped buffers (no shard lock held) and routes the results to
   // the sink when one is installed, else back to the caller. `popped` must be
   // in device-id order.
-  Result<std::vector<TranslationResult>> TranslateAndDeliver(
-      std::vector<PoppedBuffer> popped);
+  std::vector<TranslationResult> TranslateAndDeliver(std::vector<PoppedBuffer> popped);
 
-  std::shared_ptr<const Engine> engine_;  // null for hook-backed sessions
-  TranslateFn translate_;                 // set for hook-backed sessions only
+  std::shared_ptr<const Engine> engine_;
   StreamOptions options_;
   util::ThreadPool* pool_ = nullptr;      // may be null (serial cleaning)
   std::shared_ptr<obs::MetricsRegistry> metrics_;  // may be null

@@ -21,10 +21,9 @@
 //                   complement::Complementor). The hot path is columnar:
 //                   positioning::RecordBlock (SoA columns + validity bitmap)
 //                   flows from the stream buffers through cleaning (reusable
-//                   per-worker CleanerScratch, SIMD mask/sweep kernels with a
-//                   CleanerOptions::vectorize scalar fallback, batched
-//                   snapping via Dsm::SnapIfOutsideBatch, parallel passes on
-//                   long sequences) and annotation without AoS
+//                   per-worker CleanerScratch, SIMD mask/sweep kernels,
+//                   batched snapping via Dsm::SnapIfOutsideBatch, parallel
+//                   passes on long sequences) and annotation without AoS
 //                   rematerialization; the AoS entry points remain as
 //                   byte-identical shims
 //   Store         — store::TripStore, the persistent, indexed semantic-
@@ -40,9 +39,6 @@
 //                   time indexes, live ingestion via a StreamSession sink,
 //                   queries (DeviceHistory, RegionVisitors, FlowBetween,
 //                   time-range scans) and segment-parallel analytics
-//   Adapters      — core::Pipeline and core::OnlineTranslator, the legacy
-//                   batch/streaming front-ends, now [[deprecated]] shims
-//                   over Service
 //   Observability — obs::MetricsRegistry, the unified metrics & stage-
 //                   tracing subsystem: lock-free thread-sharded counters/
 //                   gauges/log-bucketed latency histograms recorded by every
@@ -92,8 +88,6 @@
 #include "config/space_modeler.h"
 #include "core/analytics.h"
 #include "core/engine.h"
-#include "core/online.h"
-#include "core/pipeline.h"
 #include "core/result_io.h"
 #include "core/semantics.h"
 #include "core/service.h"

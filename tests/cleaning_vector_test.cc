@@ -1,15 +1,13 @@
-// Parity suite of the vectorized cleaning kernels (CleanerOptions::vectorize):
-// the mask-column scan, the per-run smoothing sweeps and the cell-sorted
-// batched snap must stay byte-identical to the scalar per-record path and to
-// the frozen AoS CleanReference — on randomized walks, on every degenerate
-// block shape (empty / single record / all invalid / all co-timestamped /
-// runs shorter than the smoothing window), and across 0/1/7 pool workers.
-// Also covers Dsm::SnapIfOutsideBatch against the per-point query on both the
-// indexed and brute-force dispatch, the per-pass clean.* stage metrics, and
-// the TRIPS_CLEAN_NO_VECTOR environment toggle.
+// Parity suite of the vectorized cleaning kernels: the mask-column scan, the
+// per-run smoothing sweeps and the cell-sorted batched snap must stay
+// byte-identical to the AoS reference cleaner (tests/testing/
+// reference_cleaner.h) — on randomized walks, on every degenerate block shape
+// (empty / single record / all invalid / all co-timestamped / runs shorter
+// than the smoothing window), and across 0/1/7 pool workers. Also covers
+// Dsm::SnapIfOutsideBatch against the per-point query on both the indexed and
+// brute-force dispatch, and the per-pass clean.* stage metrics.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -18,6 +16,7 @@
 #include "obs/metrics.h"
 #include "positioning/error_model.h"
 #include "positioning/record_block.h"
+#include "testing/reference_cleaner.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -29,6 +28,7 @@ using cleaning::CleanerScratch;
 using cleaning::CleaningReport;
 using cleaning::CleaningStageMetrics;
 using cleaning::RawDataCleaner;
+using cleaning::testing::ReferenceCleaner;
 using positioning::PositioningSequence;
 using positioning::RecordBlock;
 
@@ -83,11 +83,9 @@ class CleaningVectorFixture : public ::testing::Test {
     return positioning::ApplyErrorModel(truth, noise, &rng);
   }
 
-  // CleanBlock under (vectorize, workers); returns the cleaned sequence.
-  PositioningSequence CleanWith(const PositioningSequence& raw,
-                                CleanerOptions opt, bool vectorize,
+  // CleanBlock with `workers` pool workers; returns the cleaned sequence.
+  PositioningSequence CleanWith(const PositioningSequence& raw, CleanerOptions opt,
                                 size_t workers, CleaningReport* report) const {
-    opt.vectorize = vectorize;
     // Degenerate blocks are short — make sure worker parity actually
     // exercises the pool on them too.
     opt.parallel_min_records = 2;
@@ -103,22 +101,18 @@ class CleaningVectorFixture : public ::testing::Test {
     return block.ToSequence();
   }
 
-  // The full parity matrix for one input: vectorized x {0,1,7} workers and
-  // scalar x {0,7} workers, all byte-identical to CleanReference.
+  // The parity matrix for one input: {0,1,7} workers, all byte-identical to
+  // the reference cleaner.
   void ExpectParity(const PositioningSequence& raw, const CleanerOptions& opt) const {
-    RawDataCleaner reference(dsm_.get(), planner_.get(), opt);
     CleaningReport want_report;
-    PositioningSequence want = reference.CleanReference(raw, &want_report);
-    for (bool vectorize : {true, false}) {
-      for (size_t workers : {size_t{0}, size_t{1}, size_t{7}}) {
-        if (!vectorize && workers == 1) continue;  // redundant with 0
-        CleaningReport report;
-        PositioningSequence got = CleanWith(raw, opt, vectorize, workers, &report);
-        SCOPED_TRACE(::testing::Message() << "vectorize=" << vectorize
-                                          << " workers=" << workers);
-        ExpectSameRecords(got, want);
-        ExpectSameReports(report, want_report);
-      }
+    PositioningSequence want =
+        ReferenceCleaner(dsm_.get(), planner_.get(), opt).Clean(raw, &want_report);
+    for (size_t workers : {size_t{0}, size_t{1}, size_t{7}}) {
+      CleaningReport report;
+      PositioningSequence got = CleanWith(raw, opt, workers, &report);
+      SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+      ExpectSameRecords(got, want);
+      ExpectSameReports(report, want_report);
     }
   }
 
@@ -186,8 +180,8 @@ TEST_F(CleaningVectorFixture, AllCoTimestamped) {
 
 TEST_F(CleaningVectorFixture, RunsShorterThanSmoothingWindow) {
   // Floor flips every 2 records with a 7-wide window: no run ever reaches the
-  // sweep kernel's interior, so the whole pass must take the scalar-boundary
-  // path — and still match.
+  // sweep kernel's interior, so the whole pass must take the per-record
+  // boundary window — and still match.
   PositioningSequence seq;
   seq.device_id = "flipper";
   for (int i = 0; i < 40; ++i) {
@@ -258,18 +252,6 @@ TEST_F(CleaningVectorFixture, StageMetricsRecordPerPass) {
   }
   ExpectSameRecords(timed.ToSequence(), plain.ToSequence());
   ExpectSameReports(timed_report, plain_report);
-}
-
-TEST_F(CleaningVectorFixture, EnvVariableForcesScalarPath) {
-  ASSERT_EQ(setenv("TRIPS_CLEAN_NO_VECTOR", "1", 1), 0);
-  RawDataCleaner forced(dsm_.get(), planner_.get(), CleanerOptions{});
-  EXPECT_FALSE(forced.options().vectorize);
-  ASSERT_EQ(setenv("TRIPS_CLEAN_NO_VECTOR", "0", 1), 0);
-  RawDataCleaner zero(dsm_.get(), planner_.get(), CleanerOptions{});
-  EXPECT_TRUE(zero.options().vectorize);
-  ASSERT_EQ(unsetenv("TRIPS_CLEAN_NO_VECTOR"), 0);
-  RawDataCleaner normal(dsm_.get(), planner_.get(), CleanerOptions{});
-  EXPECT_TRUE(normal.options().vectorize);
 }
 
 }  // namespace

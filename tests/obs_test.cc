@@ -577,6 +577,43 @@ TEST_F(ObsClusterFixture, StatszRollupsMatchStats) {
   }
 }
 
+// A Service and a one-venue Cluster wire the same pool and engine metrics, so
+// an operator reads one set of routing.* / spatial.* / pool.* names whichever
+// front door serves the venue.
+TEST_F(ObsClusterFixture, ServiceAndOneVenueClusterExportSameEngineAndPoolNames) {
+  auto shared_names = [](const MetricsRegistry& registry) {
+    MetricsSnapshot snap = registry.Snap();
+    std::vector<std::string> names;
+    auto keep = [&names](const std::string& name) {
+      for (const char* prefix : {"routing.", "spatial.", "pool."}) {
+        if (name.rfind(prefix, 0) == 0) names.push_back(name);
+      }
+    };
+    for (const auto& [name, value] : snap.counters) keep(name);
+    for (const auto& [name, value] : snap.gauges) keep(name);
+    for (const auto& [name, summary] : snap.histograms) keep(name);
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+
+  const TestVenue& venue = venues_[0];
+  core::Service service(venue.engine);
+  cluster::Cluster city;
+  cluster::VenueConfig config;
+  config.venue_id = venue.id;
+  config.engine = venue.engine;
+  ASSERT_TRUE(city.AddVenue(config).ok());
+
+  std::vector<std::string> service_names = shared_names(*service.stats_registry());
+  EXPECT_EQ(shared_names(*city.stats_registry()), service_names);
+  for (const char* name : {"spatial.region_probes", "spatial.snapped_outside",
+                           "routing.cache_hits", "pool.workers"}) {
+    EXPECT_NE(std::find(service_names.begin(), service_names.end(), name),
+              service_names.end())
+        << "missing " << name;
+  }
+}
+
 TEST_F(ObsClusterFixture, StoreQueriesRecordLatency) {
   cluster::Cluster city({.worker_threads = 0});
   FeedAll(&city);

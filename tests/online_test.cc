@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
-#include "core/online.h"
+#include <memory>
+#include <string>
+
+#include "core/session.h"
 #include "dsm/sample_spaces.h"
 #include "mobility/generator.h"
 
-// This suite deliberately exercises the deprecated OnlineTranslator shim.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
+// Online (record-at-a-time) translation through a StreamSession: the buffer
+// cap, the end-of-stream drain of short tails and stream == batch.
 namespace trips::core {
 namespace {
 
@@ -16,8 +18,9 @@ class OnlineFixture : public ::testing::Test {
     auto mall = dsm::BuildMallDsm({.floors = 2, .shops_per_arm = 2});
     ASSERT_TRUE(mall.ok());
     dsm_ = std::make_unique<dsm::Dsm>(std::move(mall).ValueOrDie());
-    translator_ = std::make_unique<Translator>(dsm_.get());
-    ASSERT_TRUE(translator_->Init().ok());
+    auto engine = Engine::Builder().BorrowDsm(dsm_.get()).Build();
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    engine_ = *engine;
 
     auto planner = dsm::RoutePlanner::Build(dsm_.get());
     ASSERT_TRUE(planner.ok());
@@ -35,73 +38,15 @@ class OnlineFixture : public ::testing::Test {
   }
 
   std::unique_ptr<dsm::Dsm> dsm_;
-  std::unique_ptr<Translator> translator_;
+  std::shared_ptr<const Engine> engine_;
   std::unique_ptr<dsm::RoutePlanner> planner_;
   std::unique_ptr<mobility::MobilityGenerator> generator_;
 };
 
-TEST_F(OnlineFixture, BuffersUntilIdle) {
-  OnlineTranslator online(translator_.get());
-  positioning::PositioningSequence seq = GenerateTruth("s1", 1);
-
-  TimestampMs last = 0;
-  for (const positioning::RawRecord& r : seq.records) {
-    auto flushed = online.Ingest("s1", r);
-    ASSERT_TRUE(flushed.ok());
-    EXPECT_TRUE(flushed->empty());  // cap not reached
-    last = r.timestamp;
-    // Mid-stream polls never flush an active device.
-    auto polled = online.Poll(r.timestamp);
-    ASSERT_TRUE(polled.ok());
-    EXPECT_TRUE(polled->empty());
-  }
-  EXPECT_EQ(online.PendingDevices(), 1u);
-  EXPECT_EQ(online.PendingRecords(), seq.records.size());
-
-  // Once the device has been quiet past the flush window, Poll emits it.
-  auto results = online.Poll(last + 11 * kMillisPerMinute);
-  ASSERT_TRUE(results.ok());
-  ASSERT_EQ(results->size(), 1u);
-  EXPECT_EQ((*results)[0].semantics.device_id, "s1");
-  EXPECT_FALSE((*results)[0].semantics.Empty());
-  EXPECT_EQ(online.PendingDevices(), 0u);
-  EXPECT_EQ(online.EmittedCount(), 1u);
-}
-
-TEST_F(OnlineFixture, InterleavedDevicesFlushIndependently) {
-  OnlineTranslator online(translator_.get());
-  positioning::PositioningSequence a = GenerateTruth("a", 2);
-  positioning::PositioningSequence b = GenerateTruth("b", 3);
-  // Shift b to start an hour later so a goes idle while b streams.
-  for (positioning::RawRecord& r : b.records) r.timestamp += kMillisPerHour * 2;
-
-  for (const auto& r : a.records) {
-    ASSERT_TRUE(online.Ingest("a", r).ok());
-  }
-  EXPECT_EQ(online.PendingDevices(), 1u);
-  std::vector<TranslationResult> emitted;
-  for (const auto& r : b.records) {
-    ASSERT_TRUE(online.Ingest("b", r).ok());
-    auto polled = online.Poll(r.timestamp);
-    ASSERT_TRUE(polled.ok());
-    for (auto& res : *polled) emitted.push_back(std::move(res));
-  }
-  // a must have been emitted while b streamed.
-  ASSERT_EQ(emitted.size(), 1u);
-  EXPECT_EQ(emitted[0].semantics.device_id, "a");
-  EXPECT_EQ(online.PendingDevices(), 1u);
-
-  auto rest = online.FlushAll();
-  ASSERT_TRUE(rest.ok());
-  ASSERT_EQ(rest->size(), 1u);
-  EXPECT_EQ((*rest)[0].semantics.device_id, "b");
-  EXPECT_EQ(online.PendingRecords(), 0u);
-}
-
 TEST_F(OnlineFixture, BufferCapForcesFlush) {
-  OnlineOptions opt;
+  StreamOptions opt;
   opt.max_buffer_records = 50;
-  OnlineTranslator online(translator_.get(), opt);
+  StreamSession online(engine_, opt);
   positioning::PositioningSequence seq = GenerateTruth("cap", 4);
   ASSERT_GT(seq.records.size(), 60u);
 
@@ -118,7 +63,7 @@ TEST_F(OnlineFixture, BufferCapForcesFlush) {
 }
 
 TEST_F(OnlineFixture, TinyBuffersTranslatedAtFinalFlush) {
-  OnlineTranslator online(translator_.get());
+  StreamSession online(engine_);
   // Two stray fixes only — below min_flush_records, but FlushAll is the end
   // of the stream, so the remainder is translated rather than lost.
   ASSERT_TRUE(online.Ingest("stray", {50, 30, 0, 1000}).ok());
@@ -132,9 +77,9 @@ TEST_F(OnlineFixture, TinyBuffersTranslatedAtFinalFlush) {
 }
 
 TEST_F(OnlineFixture, TinyBuffersDroppedWhenOptedBackIn) {
-  OnlineOptions opt;
-  opt.drop_small_on_final_flush = true;  // the pre-fix behavior, on request
-  OnlineTranslator online(translator_.get(), opt);
+  StreamOptions opt;
+  opt.drop_small_on_final_flush = true;
+  StreamSession online(engine_, opt);
   ASSERT_TRUE(online.Ingest("stray", {50, 30, 0, 1000}).ok());
   ASSERT_TRUE(online.Ingest("stray", {50, 31, 0, 4000}).ok());
   auto results = online.FlushAll();
@@ -147,17 +92,17 @@ TEST_F(OnlineFixture, TinyBuffersDroppedWhenOptedBackIn) {
 TEST_F(OnlineFixture, OnlineMatchesBatchTranslation) {
   positioning::PositioningSequence seq = GenerateTruth("same", 5);
   // Batch.
-  auto batch = translator_->Translate(seq);
+  auto batch = engine_->translator()->Translate(seq);
   ASSERT_TRUE(batch.ok());
   // Online, fed record by record.
-  OnlineTranslator online(translator_.get());
+  StreamSession online(engine_);
   for (const auto& r : seq.records) {
     ASSERT_TRUE(online.Ingest("same", r).ok());
   }
   auto streamed = online.FlushAll();
   ASSERT_TRUE(streamed.ok());
   ASSERT_EQ(streamed->size(), 1u);
-  // Identical input, identical translator state => identical semantics.
+  // Identical input, identical engine state => identical semantics.
   ASSERT_EQ((*streamed)[0].semantics.Size(), batch->semantics.Size());
   for (size_t i = 0; i < batch->semantics.Size(); ++i) {
     EXPECT_EQ((*streamed)[0].semantics.semantics[i], batch->semantics.semantics[i]);

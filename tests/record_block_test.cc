@@ -15,6 +15,7 @@
 #include "dsm/sample_spaces.h"
 #include "positioning/error_model.h"
 #include "positioning/record_block.h"
+#include "testing/reference_cleaner.h"
 #include "util/rng.h"
 
 namespace trips {
@@ -24,6 +25,7 @@ using cleaning::CleanerOptions;
 using cleaning::CleanerScratch;
 using cleaning::CleaningReport;
 using cleaning::RawDataCleaner;
+using cleaning::testing::ReferenceCleaner;
 using positioning::PositioningSequence;
 using positioning::RawRecord;
 using positioning::RecordBlock;
@@ -134,10 +136,11 @@ TEST_F(RecordBlockFixture, CleanShimMatchesReferenceRandomized) {
   CleanerOptions opt;
   opt.smoothing_window = 3;
   RawDataCleaner cleaner(dsm_.get(), planner_.get(), opt);
+  ReferenceCleaner reference(dsm_.get(), planner_.get(), opt);
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     PositioningSequence raw = NoisyWalk(300, seed);
     CleaningReport ref_report, soa_report;
-    PositioningSequence ref = cleaner.CleanReference(raw, &ref_report);
+    PositioningSequence ref = reference.Clean(raw, &ref_report);
     PositioningSequence soa = cleaner.Clean(raw, &soa_report);
     ExpectSameRecords(soa, ref);
     ExpectSameReports(soa_report, ref_report);
@@ -151,7 +154,7 @@ TEST_F(RecordBlockFixture, CleanShimMatchesReferenceWithoutSmoothingOrSnap) {
   PositioningSequence raw = NoisyWalk(250, 21);
   CleaningReport ref_report, soa_report;
   ExpectSameRecords(cleaner.Clean(raw, &soa_report),
-                    cleaner.CleanReference(raw, &ref_report));
+                    ReferenceCleaner(dsm_.get(), planner_.get(), opt).Clean(raw, &ref_report));
   ExpectSameReports(soa_report, ref_report);
 }
 
@@ -163,7 +166,8 @@ TEST_F(RecordBlockFixture, ParallelCleaningIsWorkerCountIndependent) {
   PositioningSequence raw = NoisyWalk(2000, 7);
 
   CleaningReport serial_report;
-  PositioningSequence serial = cleaner.CleanReference(raw, &serial_report);
+  PositioningSequence serial =
+      ReferenceCleaner(dsm_.get(), planner_.get(), opt).Clean(raw, &serial_report);
 
   for (size_t workers : {0u, 1u, 7u}) {
     util::ThreadPool pool(workers);

@@ -7,13 +7,9 @@
 
 #include "core/result_io.h"
 #include "core/service.h"
-#include "core/pipeline.h"
 #include "dsm/sample_spaces.h"
 #include "mobility/generator.h"
 #include "positioning/error_model.h"
-
-// The shim-equivalence tests below deliberately exercise deprecated Pipeline.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace trips::core {
 namespace {
@@ -74,7 +70,7 @@ class ServiceFixture : public ::testing::Test {
 TEST_F(ServiceFixture, BatchByteIdenticalToLegacyTranslateAll) {
   std::vector<positioning::PositioningSequence> fleet = MakeFleet(6, 101);
 
-  // The legacy batch path (what Pipeline::Run executed before the redesign).
+  // The stateful Translator's batch path, which BatchSession must reproduce.
   Translator legacy(mall_.get());
   ASSERT_TRUE(legacy.Init().ok());
   auto reference = legacy.TranslateAll(fleet);
@@ -137,14 +133,14 @@ TEST_F(ServiceFixture, ConcurrentBatchSessionsShareOneEngine) {
 
   constexpr int kThreads = 4;
   std::vector<std::vector<std::pair<std::string, std::string>>> got(kThreads);
-  std::vector<bool> ok(kThreads, false);
+  std::vector<char> ok(kThreads, 0);  // not vector<bool>: threads write adjacent slots
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       auto session = service.NewBatchSession();
       auto response = session->Submit({.sequences = fleet});
       if (!response.ok()) return;
-      ok[t] = true;
+      ok[t] = 1;
       got[t] = DumpByDevice(response->results);
     });
   }
@@ -365,63 +361,71 @@ TEST_F(ServiceFixture, TraceClockInjectionDrivesLatencyStamps) {
   EXPECT_EQ(DumpByDevice(*wall), DumpByDevice(*flushed));
 }
 
-TEST_F(ServiceFixture, PipelineShimDelegatesToService) {
-  std::vector<positioning::PositioningSequence> fleet = MakeFleet(4, 157);
-
-  Pipeline pipeline;
-  pipeline.selector().AddSequences(fleet);
-  ASSERT_TRUE(pipeline.SetDsm(*mall_).ok());
-  ASSERT_NE(pipeline.service(), nullptr);
-  ASSERT_NE(pipeline.engine(), nullptr);
-  EXPECT_EQ(pipeline.translator(), pipeline.engine()->translator());
-
-  auto via_pipeline = pipeline.Run();
-  ASSERT_TRUE(via_pipeline.ok()) << via_pipeline.status().ToString();
-
+// A Poll at the newest record's timestamp never flushes the device that sent
+// it; once the device has been quiet past flush_after, Poll emits it.
+TEST_F(ServiceFixture, StreamPollAtNewestRecordNeverFlushesActiveDevice) {
+  const positioning::PositioningSequence seq = MakeFleet(1, 179)[0];
   Service service(engine_, {});
-  auto via_service = service.Translate({.sequences = fleet});
-  ASSERT_TRUE(via_service.ok());
-  EXPECT_EQ(DumpByDevice(*via_pipeline), DumpByDevice(via_service->results));
-  // The pipeline's output is device-id sorted like every Service aggregate.
-  for (size_t i = 1; i < via_pipeline->size(); ++i) {
-    EXPECT_LE((*via_pipeline)[i - 1].semantics.device_id,
-              (*via_pipeline)[i].semantics.device_id);
+  auto stream = service.NewStreamSession();
+
+  TimestampMs newest = 0;
+  for (const auto& record : seq.records) {
+    auto flushed = stream->Ingest(seq.device_id, record);
+    ASSERT_TRUE(flushed.ok());
+    EXPECT_TRUE(flushed->empty());  // cap not reached
+    newest = std::max(newest, record.timestamp);
+    auto polled = stream->Poll(record.timestamp);
+    ASSERT_TRUE(polled.ok());
+    EXPECT_TRUE(polled->empty());
   }
+  EXPECT_EQ(stream->PendingDevices(), 1u);
+  EXPECT_EQ(stream->PendingRecords(), seq.records.size());
+
+  auto results = stream->Poll(newest + 11 * kMillisPerMinute);
+  ASSERT_TRUE(results.ok());
+  ASSERT_EQ(results->size(), 1u);
+  EXPECT_EQ((*results)[0].semantics.device_id, seq.device_id);
+  EXPECT_FALSE((*results)[0].semantics.Empty());
+  EXPECT_EQ(stream->PendingDevices(), 0u);
+  EXPECT_EQ(stream->EmittedCount(), 1u);
 }
 
-TEST_F(ServiceFixture, PipelineDsmPointerStableAcrossRetraining) {
-  Pipeline pipeline;
-  pipeline.selector().AddSequences(MakeFleet(2, 163));
-  ASSERT_TRUE(pipeline.SetDsm(*mall_).ok());
-  const dsm::Dsm* installed = pipeline.dsm();
-  ASSERT_NE(installed, nullptr);
+// Devices flush independently: one that went quiet is emitted by the Polls
+// of another device's feed, which keeps buffering until FlushAll.
+TEST_F(ServiceFixture, StreamIdleDeviceFlushesWhileAnotherStreams) {
+  std::vector<positioning::PositioningSequence> fleet = MakeFleet(2, 181);
+  const positioning::PositioningSequence& quiet = fleet[0];
+  positioning::PositioningSequence& live = fleet[1];
+  TimestampMs quiet_newest = 0;
+  for (const auto& record : quiet.records) {
+    quiet_newest = std::max(quiet_newest, record.timestamp);
+  }
+  // Generated feeds start at t=0: the live one now starts an hour after the
+  // quiet device's last record.
+  for (auto& record : live.records) record.timestamp += quiet_newest + kMillisPerHour;
 
-  // Designate training data so Run() rebuilds the engine with a trained
-  // event model; the installed DSM must survive the rebuild.
-  Rng rng(167);
-  ASSERT_TRUE(pipeline.event_editor().DefinePattern(kEventStay).ok());
-  ASSERT_TRUE(pipeline.event_editor().DefinePattern(kEventPassBy).ok());
-  ASSERT_TRUE(pipeline.event_editor().DefinePattern(kEventWander).ok());
-  for (int d = 0; d < 5; ++d) {
-    auto dev = generator_->GenerateDevice("t" + std::to_string(d), 0, &rng);
-    ASSERT_TRUE(dev.ok());
-    for (const MobilitySemantic& s : dev->semantics.semantics) {
-      pipeline.event_editor().DesignateRange(s.event, dev->truth, s.range);
+  Service service(engine_, {});
+  auto stream = service.NewStreamSession();
+  for (const auto& record : quiet.records) {
+    ASSERT_TRUE(stream->Ingest(quiet.device_id, record).ok());
+  }
+  std::vector<std::string> emitted;
+  for (const auto& record : live.records) {
+    ASSERT_TRUE(stream->Ingest(live.device_id, record).ok());
+    auto polled = stream->Poll(record.timestamp);
+    ASSERT_TRUE(polled.ok());
+    for (const TranslationResult& result : *polled) {
+      emitted.push_back(result.semantics.device_id);
     }
   }
-  size_t revision = pipeline.event_editor().revision();
-  std::shared_ptr<const Engine> before = pipeline.engine();
+  EXPECT_EQ(emitted, std::vector<std::string>{quiet.device_id});
+  EXPECT_EQ(stream->PendingDevices(), 1u);
 
-  ASSERT_TRUE(pipeline.Run().ok());
-  EXPECT_EQ(pipeline.dsm(), installed);         // no dangling/retargeted DSM
-  EXPECT_NE(pipeline.engine(), before);         // engine was retrained
-  EXPECT_TRUE(pipeline.translator()->classifier().trained());
-
-  // Unchanged corpus => second Run reuses the trained engine.
-  std::shared_ptr<const Engine> trained = pipeline.engine();
-  ASSERT_TRUE(pipeline.Run().ok());
-  EXPECT_EQ(pipeline.engine(), trained);
-  EXPECT_EQ(pipeline.event_editor().revision(), revision);
+  auto rest = stream->FlushAll();
+  ASSERT_TRUE(rest.ok());
+  ASSERT_EQ(rest->size(), 1u);
+  EXPECT_EQ((*rest)[0].semantics.device_id, live.device_id);
+  EXPECT_EQ(stream->PendingRecords(), 0u);
 }
 
 }  // namespace
