@@ -13,33 +13,15 @@ using bench::MallContext;
 
 namespace {
 
-struct Scores {
-  double region = 0;
-  double event = 0;
-};
-
-Scores Evaluate(const MallContext& ctx, const std::vector<bench::NoisyDevice>& fleet,
-                core::TranslatorOptions opt,
-                const std::vector<config::LabeledSegment>& training) {
-  core::Translator translator(ctx.dsm.get(), opt);
-  if (!translator.Init().ok()) std::abort();
-  if (!training.empty()) {
-    if (!translator.TrainEventModel(training).ok()) std::abort();
-  }
+/// Mean agreement with ground truth of one batch translated with `opt`.
+core::SemanticsAgreement Evaluate(const MallContext& ctx,
+                                  const std::vector<bench::NoisyDevice>& fleet,
+                                  core::TranslatorOptions opt,
+                                  const std::vector<config::LabeledSegment>& training) {
   std::vector<positioning::PositioningSequence> raws;
   for (const auto& nd : fleet) raws.push_back(nd.raw);
-  auto results = translator.TranslateAll(raws);
-  if (!results.ok()) std::abort();
-  Scores scores;
-  for (size_t i = 0; i < fleet.size(); ++i) {
-    core::SemanticsAgreement a =
-        core::CompareSemantics(fleet[i].truth.semantics, (*results)[i].semantics);
-    scores.region += a.region_match;
-    scores.event += a.event_match;
-  }
-  scores.region /= static_cast<double>(fleet.size());
-  scores.event /= static_cast<double>(fleet.size());
-  return scores;
+  return bench::MeanAgreement(
+      fleet, bench::TranslateBatch(bench::MakeEngine(ctx, opt, training), raws));
 }
 
 std::vector<config::LabeledSegment> Training(const MallContext& ctx, int devices,
@@ -74,9 +56,10 @@ void ReportAblation() {
       core::TranslatorOptions opt;
       opt.enable_cleaning = clean;
       opt.enable_complementing = complement;
-      Scores s = Evaluate(ctx, fleet, opt, training);
+      core::SemanticsAgreement s = Evaluate(ctx, fleet, opt, training);
       std::printf("%10s %14s | %7.1f%% %7.1f%%\n", clean ? "on" : "off",
-                  complement ? "on" : "off", s.region * 100, s.event * 100);
+                  complement ? "on" : "off", s.region_match * 100,
+                  s.event_match * 100);
     }
   }
 
@@ -84,18 +67,18 @@ void ReportAblation() {
   std::printf("%-22s | %8s %8s\n", "model", "region%", "event%");
   {
     core::TranslatorOptions opt;
-    Scores s = Evaluate(ctx, fleet, opt, {});
-    std::printf("%-22s | %7.1f%% %7.1f%%\n", "rule_based(cold)", s.region * 100,
-                s.event * 100);
+    core::SemanticsAgreement s = Evaluate(ctx, fleet, opt, {});
+    std::printf("%-22s | %7.1f%% %7.1f%%\n", "rule_based(cold)", s.region_match * 100,
+                s.event_match * 100);
   }
   for (annotation::ModelKind kind :
        {annotation::ModelKind::kDecisionTree, annotation::ModelKind::kRandomForest,
         annotation::ModelKind::kLogisticRegression, annotation::ModelKind::kKnn}) {
     core::TranslatorOptions opt;
     opt.classifier.model = kind;
-    Scores s = Evaluate(ctx, fleet, opt, training);
+    core::SemanticsAgreement s = Evaluate(ctx, fleet, opt, training);
     std::printf("%-22s | %7.1f%% %7.1f%%\n", annotation::ModelKindName(kind),
-                s.region * 100, s.event * 100);
+                s.region_match * 100, s.event_match * 100);
   }
 
   std::printf("\n=== Ablation: splitter density radius ===\n\n");
@@ -103,8 +86,9 @@ void ReportAblation() {
   for (double eps : {1.5, 3.0, 5.0, 8.0}) {
     core::TranslatorOptions opt;
     opt.annotator.splitter.eps_space = eps;
-    Scores s = Evaluate(ctx, fleet, opt, training);
-    std::printf("%12.1f | %7.1f%% %7.1f%%\n", eps, s.region * 100, s.event * 100);
+    core::SemanticsAgreement s = Evaluate(ctx, fleet, opt, training);
+    std::printf("%12.1f | %7.1f%% %7.1f%%\n", eps, s.region_match * 100,
+                s.event_match * 100);
   }
 
   std::printf("\n=== Ablation: cleaner smoothing window ===\n\n");
@@ -112,8 +96,9 @@ void ReportAblation() {
   for (int window : {0, 3, 7, 15}) {
     core::TranslatorOptions opt;
     opt.cleaner.smoothing_window = static_cast<size_t>(window);
-    Scores s = Evaluate(ctx, fleet, opt, training);
-    std::printf("%12d | %7.1f%% %7.1f%%\n", window, s.region * 100, s.event * 100);
+    core::SemanticsAgreement s = Evaluate(ctx, fleet, opt, training);
+    std::printf("%12d | %7.1f%% %7.1f%%\n", window, s.region_match * 100,
+                s.event_match * 100);
   }
   std::printf("\n");
 }
@@ -128,10 +113,7 @@ void BM_AblationLayers(benchmark::State& state) {
   std::vector<positioning::PositioningSequence> raws;
   for (const auto& nd : fleet) raws.push_back(nd.raw);
   for (auto _ : state) {
-    core::Translator translator(ctx.dsm.get(), opt);
-    if (!translator.Init().ok()) std::abort();
-    auto results = translator.TranslateAll(raws);
-    if (!results.ok()) std::abort();
+    auto results = bench::TranslateBatch(bench::MakeEngine(ctx, opt), raws);
     benchmark::DoNotOptimize(results);
   }
   state.SetLabel(std::string(opt.enable_cleaning ? "clean" : "noclean") + "+" +

@@ -15,20 +15,6 @@ using bench::MallContext;
 
 namespace {
 
-double MeanRegionAgreement(const std::vector<bench::NoisyDevice>& fleet,
-                           const std::vector<core::TranslationResult>& results) {
-  double total = 0;
-  int n = 0;
-  for (const core::TranslationResult& r : results) {
-    for (const bench::NoisyDevice& nd : fleet) {
-      if (nd.truth.truth.device_id != r.semantics.device_id) continue;
-      total += core::CompareSemantics(nd.truth.semantics, r.semantics).region_match;
-      ++n;
-    }
-  }
-  return n > 0 ? total / n : 0;
-}
-
 void ReportGapRecovery() {
   MallContext ctx = MallContext::Make(7, 3);
   std::printf("=== Fig. 3 / Complementing: gap recovery ===\n\n");
@@ -48,39 +34,21 @@ void ReportGapRecovery() {
     // (i) no complementing.
     core::TranslatorOptions off;
     off.enable_complementing = false;
-    core::Translator t_off(ctx.dsm.get(), off);
-    if (!t_off.Init().ok()) std::abort();
-    auto r_off = t_off.TranslateAll(raws);
-    if (!r_off.ok()) std::abort();
+    auto r_off = bench::TranslateBatch(bench::MakeEngine(ctx, off), raws);
 
-    // (ii) uniform prior: knowledge smoothing only (no observed transitions
-    // influence) — emulate by zero smoothing weight on observations via a
-    // fresh translator whose knowledge we overwrite with the uniform prior.
-    core::TranslatorOptions on;
-    core::Translator t_uniform(ctx.dsm.get(), on);
-    if (!t_uniform.Init().ok()) std::abort();
-    // Translate one by one so the uniform prior (installed by Init) is used
-    // instead of batch-learned knowledge.
-    std::vector<core::TranslationResult> r_uniform;
-    for (const auto& raw : raws) {
-      auto r = t_uniform.Translate(raw);
-      if (!r.ok()) std::abort();
-      r_uniform.push_back(std::move(r).ValueOrDie());
-    }
-
-    // (iii) learned knowledge from the batch.
-    core::Translator t_learned(ctx.dsm.get(), on);
-    if (!t_learned.Init().ok()) std::abort();
-    auto r_learned = t_learned.TranslateAll(raws);
-    if (!r_learned.ok()) std::abort();
+    // (ii) uniform prior: a batch that does not learn complements with the
+    // engine's baseline knowledge. (iii) learned knowledge from the batch.
+    std::shared_ptr<const core::Engine> on = bench::MakeEngine(ctx);
+    auto r_uniform = bench::TranslateBatch(on, raws, /*learn_knowledge=*/false);
+    auto r_learned = bench::TranslateBatch(on, raws);
 
     size_t inferred = 0;
-    for (const auto& r : *r_learned) inferred += r.complement_report.triplets_inferred;
+    for (const auto& r : r_learned) inferred += r.complement_report.triplets_inferred;
 
     std::printf("%10.0f | %11.1f%% %11.1f%% %11.1f%% | %10zu\n", gaps_per_hour,
-                MeanRegionAgreement(fleet, *r_off) * 100,
-                MeanRegionAgreement(fleet, r_uniform) * 100,
-                MeanRegionAgreement(fleet, *r_learned) * 100, inferred);
+                bench::MeanAgreement(fleet, r_off).region_match * 100,
+                bench::MeanAgreement(fleet, r_uniform).region_match * 100,
+                bench::MeanAgreement(fleet, r_learned).region_match * 100, inferred);
   }
 
   // Popularity-skew sweep: the more concentrated the traffic, the more the
@@ -111,29 +79,15 @@ void ReportGapRecovery() {
 
     core::TranslatorOptions off;
     off.enable_complementing = false;
-    core::Translator t_off(ctx.dsm.get(), off);
-    if (!t_off.Init().ok()) std::abort();
-    auto r_off = t_off.TranslateAll(raws);
-    if (!r_off.ok()) std::abort();
-
-    core::Translator t_uniform(ctx.dsm.get());
-    if (!t_uniform.Init().ok()) std::abort();
-    std::vector<core::TranslationResult> r_uniform;
-    for (const auto& raw : raws) {
-      auto r = t_uniform.Translate(raw);
-      if (!r.ok()) std::abort();
-      r_uniform.push_back(std::move(r).ValueOrDie());
-    }
-
-    core::Translator t_learned(ctx.dsm.get());
-    if (!t_learned.Init().ok()) std::abort();
-    auto r_learned = t_learned.TranslateAll(raws);
-    if (!r_learned.ok()) std::abort();
+    auto r_off = bench::TranslateBatch(bench::MakeEngine(ctx, off), raws);
+    std::shared_ptr<const core::Engine> on = bench::MakeEngine(ctx);
+    auto r_uniform = bench::TranslateBatch(on, raws, /*learn_knowledge=*/false);
+    auto r_learned = bench::TranslateBatch(on, raws);
 
     std::printf("%10.1f | %11.1f%% %11.1f%% %11.1f%%\n", skew,
-                MeanRegionAgreement(fleet, *r_off) * 100,
-                MeanRegionAgreement(fleet, r_uniform) * 100,
-                MeanRegionAgreement(fleet, *r_learned) * 100);
+                bench::MeanAgreement(fleet, r_off).region_match * 100,
+                bench::MeanAgreement(fleet, r_uniform).region_match * 100,
+                bench::MeanAgreement(fleet, r_learned).region_match * 100);
   }
 
   // Knowledge-corpus-size ablation.
@@ -142,14 +96,12 @@ void ReportGapRecovery() {
   for (int devices : {2, 8, 32, 64}) {
     auto fleet = bench::MakeFleet(ctx, devices, bench::DefaultNoise(7),
                                   static_cast<uint64_t>(devices));
-    complement::KnowledgeBuilder builder(ctx.dsm.get());
-    core::Translator t(ctx.dsm.get());
-    if (!t.Init().ok()) std::abort();
     std::vector<positioning::PositioningSequence> raws;
     for (const auto& nd : fleet) raws.push_back(nd.raw);
-    auto results = t.TranslateAll(raws);
-    if (!results.ok()) std::abort();
-    std::printf("%10d %14zu\n", devices, t.knowledge().observed_transitions);
+    core::Service service(bench::MakeEngine(ctx));
+    std::unique_ptr<core::BatchSession> session = service.NewBatchSession();
+    if (!session->Submit({.sequences = std::move(raws)}).ok()) std::abort();
+    std::printf("%10d %14zu\n", devices, session->knowledge().observed_transitions);
   }
   std::printf("\n");
 }
@@ -158,13 +110,10 @@ void BM_KnowledgeBuild(benchmark::State& state) {
   static MallContext ctx = MallContext::Make(7, 3);
   static auto fleet = bench::MakeFleet(ctx, 16, bench::DefaultNoise(7), 131);
   static std::vector<core::MobilitySemanticsSequence> annotated = [] {
-    core::Translator t(ctx.dsm.get());
-    if (!t.Init().ok()) std::abort();
+    std::shared_ptr<const core::Engine> engine = bench::MakeEngine(ctx);
     std::vector<core::MobilitySemanticsSequence> out;
     for (const auto& nd : fleet) {
-      auto r = t.Translate(nd.raw);
-      if (!r.ok()) std::abort();
-      out.push_back(r->original_semantics);
+      out.push_back(engine->Translate(nd.raw).original_semantics);
     }
     return out;
   }();

@@ -17,17 +17,14 @@ namespace {
 void ReportViewerCosts() {
   MallContext ctx = MallContext::Make(7, 3);
   auto fleet = bench::MakeFleet(ctx, 4, bench::DefaultNoise(7), 161);
-  core::Translator translator(ctx.dsm.get());
-  if (!translator.Init().ok()) std::abort();
   std::vector<positioning::PositioningSequence> raws;
   for (const auto& nd : fleet) raws.push_back(nd.raw);
-  auto results = translator.TranslateAll(raws);
-  if (!results.ok()) std::abort();
+  auto results = bench::TranslateBatch(bench::MakeEngine(ctx), std::move(raws));
 
   std::printf("=== Fig. 4: viewer rendering ===\n\n");
   viewer::MapRenderer renderer(ctx.dsm.get());
   size_t entries = 0;
-  for (const core::TranslationResult& r : *results) {
+  for (const core::TranslationResult& r : results) {
     viewer::Timeline raw_tl = viewer::Timeline::FromPositioning(r.raw, "raw");
     viewer::Timeline sem_tl = viewer::Timeline::FromSemantics(
         r.semantics, r.cleaned, viewer::DisplayPointPolicy::kTemporalMiddle,
@@ -77,13 +74,7 @@ BENCHMARK(BM_TimelineAbstraction)->Arg(1000)->Arg(10000)->Arg(100000);
 void BM_SemanticsAbstraction(benchmark::State& state) {
   static MallContext ctx = MallContext::Make(2, 2);
   static auto fleet = bench::MakeFleet(ctx, 1, bench::DefaultNoise(2), 171);
-  static auto result = [] {
-    core::Translator t(ctx.dsm.get());
-    if (!t.Init().ok()) std::abort();
-    auto r = t.Translate(fleet[0].raw);
-    if (!r.ok()) std::abort();
-    return std::move(r).ValueOrDie();
-  }();
+  static auto result = bench::MakeEngine(ctx)->Translate(fleet[0].raw);
   auto policy = static_cast<viewer::DisplayPointPolicy>(state.range(0));
   for (auto _ : state) {
     viewer::Timeline tl =

@@ -27,13 +27,13 @@ void ReportWorkflow() {
     size_t records = 0;
     for (const auto& nd : fleet) records += nd.raw.records.size();
 
-    // Layer-by-layer timing (mirrors Translator::TranslateAll).
+    // Layer-by-layer timing (the three phases of a BatchSession request, run
+    // serially with the engine's default options).
+    // The cleaner routes over a fresh engine's planner, so its route cache
+    // starts cold for every fleet size.
     core::TranslatorOptions opt;
-    core::Translator translator(ctx.dsm.get(), opt);
-    if (!translator.Init().ok()) std::abort();
-
-    cleaning::RawDataCleaner cleaner(ctx.dsm.get(), translator.planner(),
-                                     opt.cleaner);
+    std::shared_ptr<const core::Engine> engine = bench::MakeEngine(ctx, opt);
+    cleaning::RawDataCleaner cleaner(ctx.dsm.get(), &engine->planner(), opt.cleaner);
     // Step (3): designate training segments from a handful of devices'
     // ground truth (the Event Editor interaction) and train the identifier.
     annotation::EventClassifier classifier;
@@ -105,10 +105,7 @@ void BM_FullPipeline(benchmark::State& state) {
   }
   size_t processed = 0;
   for (auto _ : state) {
-    core::Translator translator(ctx.dsm.get());
-    if (!translator.Init().ok()) std::abort();
-    auto results = translator.TranslateAll(raws);
-    if (!results.ok()) std::abort();
+    auto results = bench::TranslateBatch(bench::MakeEngine(ctx), raws);
     benchmark::DoNotOptimize(results);
     processed += records;
   }

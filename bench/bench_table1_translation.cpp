@@ -17,29 +17,26 @@ void ReportTable1() {
   MallContext ctx = MallContext::Make(7, 3);
   auto fleet = bench::MakeFleet(ctx, 12, bench::DefaultNoise(7), 101);
 
-  core::Translator translator(ctx.dsm.get());
-  if (!translator.Init().ok()) std::abort();
   std::vector<positioning::PositioningSequence> raws;
   for (const auto& nd : fleet) raws.push_back(nd.raw);
-  auto results = translator.TranslateAll(raws);
-  if (!results.ok()) std::abort();
+  auto results = bench::TranslateBatch(bench::MakeEngine(ctx), std::move(raws));
 
   std::printf("=== Table 1: raw positioning records vs. mobility semantics ===\n\n");
-  std::printf("%s\n", core::RenderTable1((*results)[0].raw, (*results)[0].semantics)
-                          .c_str());
+  std::printf("%s\n",
+              core::RenderTable1(results[0].raw, results[0].semantics).c_str());
 
   // Conciseness across the fleet (records per triplet; the paper argues the
   // semantics are "very concise to process" vs. the raw form).
   size_t records = 0, triplets = 0;
   DurationMs covered = 0, span = 0;
-  for (const core::TranslationResult& r : *results) {
+  for (const core::TranslationResult& r : results) {
     records += r.raw.records.size();
     triplets += r.semantics.Size();
     covered += r.semantics.CoveredDuration();
     span += r.raw.Span().Duration();
   }
   std::printf("fleet: %zu devices, %zu raw records -> %zu triplets\n",
-              results->size(), records, triplets);
+              results.size(), records, triplets);
   std::printf("conciseness: %.1f records per triplet (%.1fx compression)\n",
               static_cast<double>(records) / triplets,
               static_cast<double>(records) / triplets);
@@ -50,11 +47,10 @@ void ReportTable1() {
 void BM_TranslateOneSequence(benchmark::State& state) {
   static MallContext ctx = MallContext::Make(7, 3);
   static auto fleet = bench::MakeFleet(ctx, 4, bench::DefaultNoise(7), 202);
-  core::Translator translator(ctx.dsm.get());
-  if (!translator.Init().ok()) std::abort();
+  std::shared_ptr<const core::Engine> engine = bench::MakeEngine(ctx);
   size_t records = 0;
   for (auto _ : state) {
-    auto result = translator.Translate(fleet[0].raw);
+    core::TranslationResult result = engine->Translate(fleet[0].raw);
     benchmark::DoNotOptimize(result);
     records += fleet[0].raw.records.size();
   }
@@ -67,12 +63,9 @@ BENCHMARK(BM_TranslateOneSequence)->Unit(benchmark::kMillisecond);
 void BM_RenderTable1(benchmark::State& state) {
   static MallContext ctx = MallContext::Make(2, 2);
   static auto fleet = bench::MakeFleet(ctx, 1, bench::DefaultNoise(2), 303);
-  core::Translator translator(ctx.dsm.get());
-  if (!translator.Init().ok()) std::abort();
-  auto result = translator.Translate(fleet[0].raw);
-  if (!result.ok()) std::abort();
+  core::TranslationResult result = bench::MakeEngine(ctx)->Translate(fleet[0].raw);
   for (auto _ : state) {
-    std::string table = core::RenderTable1(result->raw, result->semantics);
+    std::string table = core::RenderTable1(result.raw, result.semantics);
     benchmark::DoNotOptimize(table);
   }
 }

@@ -31,7 +31,7 @@ struct AnnotatorOptions {
 };
 
 /// Optional timing breakdown of one Annotate call, filled by the annotator so
-/// callers (core::Translator) can attribute the split stage separately from
+/// callers (core::Engine) can attribute the split stage separately from
 /// the rest of annotation without this layer depending on trips::obs.
 struct AnnotateTimings {
   uint64_t split_ns = 0;  ///< wall time of SplitSequence

@@ -51,7 +51,8 @@ class EventEditor {
   /// True iff the pattern is defined.
   bool HasPattern(const std::string& name) const;
 
-  /// All designated training segments (the Translator's training corpus).
+  /// All designated training segments (the training corpus
+  /// core::Engine::Builder::SetTrainingData takes).
   const std::vector<LabeledSegment>& training_data() const { return training_; }
 
   /// Number of designated segments per pattern.

@@ -59,25 +59,117 @@ Result<std::shared_ptr<const Engine>> Engine::Builder::Build() {
     TRIPS_RETURN_NOT_OK(owned_dsm_->ComputeTopology());
   }
 
-  // Engine() is private; construct via new under a shared_ptr.
-  std::shared_ptr<Engine> engine(new Engine());
+  std::shared_ptr<const dsm::Dsm> holder;  // null for raw borrows
   if (owned_dsm_ != nullptr) {
-    engine->dsm_holder_ = std::shared_ptr<const dsm::Dsm>(owned_dsm_.release());
+    holder = std::shared_ptr<const dsm::Dsm>(owned_dsm_.release());
   } else {
-    engine->dsm_holder_ = std::move(shared_dsm_);  // null for raw borrows
+    holder = std::move(shared_dsm_);
   }
-  engine->dsm_ = engine->dsm_holder_ ? engine->dsm_holder_.get() : borrowed_dsm_;
-  engine->translator_ =
-      std::make_unique<Translator>(engine->dsm_, options_);
-  TRIPS_RETURN_NOT_OK(engine->translator_->Init());
+  const dsm::Dsm* dsm = holder != nullptr ? holder.get() : borrowed_dsm_;
+  if (!dsm->topology_computed()) {
+    return Status::FailedPrecondition("DSM topology not computed");
+  }
+  TRIPS_ASSIGN_OR_RETURN(dsm::RoutePlanner planner,
+                         dsm::RoutePlanner::Build(dsm, options_.routing));
+  // Engine's constructor is private; construct via new under a shared_ptr.
+  std::shared_ptr<Engine> engine(
+      new Engine(std::move(holder), dsm, options_, std::move(planner)));
   if (!training_data_.empty()) {
-    Status trained = engine->translator_->TrainEventModel(training_data_);
+    Status trained = engine->classifier_.Train(training_data_);
     if (!trained.ok() && trained.code() != StatusCode::kFailedPrecondition) {
       return trained;
     }
     engine->training_status_ = trained;
   }
   return std::shared_ptr<const Engine>(std::move(engine));
+}
+
+Engine::Engine(std::shared_ptr<const dsm::Dsm> dsm_holder, const dsm::Dsm* dsm,
+               const TranslatorOptions& options, dsm::RoutePlanner planner)
+    : dsm_holder_(std::move(dsm_holder)),
+      dsm_(dsm),
+      options_(options),
+      planner_(std::move(planner)),
+      classifier_(options_.classifier),
+      knowledge_(complement::MobilityKnowledge::Uniform(*dsm_)),
+      cleaner_(dsm_, &planner_, options_.cleaner),
+      annotator_(dsm_, &classifier_, options_.annotator) {}
+
+TranslationResult Engine::CleanAndAnnotate(
+    positioning::RecordBlock* block, util::ThreadPool* pool,
+    const TranslationStageMetrics* stages) const {
+  TranslationResult result;
+  block->SortByTime();
+  block->MaterializeTo(&result.raw);
+  if (stages != nullptr) {
+    if (stages->sequences != nullptr) stages->sequences->Add(1);
+    if (stages->records != nullptr) stages->records->Add(result.raw.records.size());
+  }
+
+  if (options_.enable_cleaning) {
+    obs::StageTimer clean_timer(stages != nullptr ? stages->clean_ns : nullptr);
+    cleaner_.CleanBlock(block, nullptr, &result.cleaning_report, pool,
+                        stages != nullptr ? &stages->cleaning : nullptr);
+    block->MaterializeTo(&result.cleaned);
+  } else {
+    result.cleaned = result.raw;
+    result.cleaning_report.total_records = result.raw.records.size();
+  }
+
+  // The annotation layer consumes the cleaned columns directly. The split
+  // phase is timed by the annotator itself (annotate_ns includes split_ns).
+  annotation::AnnotateTimings timings;
+  annotation::AnnotateTimings* timings_ptr =
+      (stages != nullptr && stages->split_ns != nullptr &&
+       stages->split_ns->recording())
+          ? &timings
+          : nullptr;
+  {
+    obs::StageTimer annotate_timer(stages != nullptr ? stages->annotate_ns
+                                                     : nullptr);
+    result.original_semantics = annotator_.Annotate(*block, timings_ptr);
+  }
+  if (timings_ptr != nullptr) stages->split_ns->Record(timings.split_ns);
+  return result;
+}
+
+complement::MobilityKnowledge Engine::BuildKnowledge(
+    const std::vector<TranslationResult>& results) const {
+  complement::KnowledgeBuilder builder(dsm_);
+  for (const TranslationResult& r : results) {
+    builder.AddSequence(r.original_semantics);
+  }
+  return builder.Build(options_.knowledge_smoothing);
+}
+
+void Engine::Complement(TranslationResult* result,
+                        const complement::MobilityKnowledge& knowledge,
+                        const TranslationStageMetrics* stages) const {
+  obs::StageTimer complement_timer(stages != nullptr ? stages->complement_ns
+                                                     : nullptr);
+  if (options_.enable_complementing) {
+    complement::Complementor complementor(dsm_, &knowledge, options_.complementor);
+    result->semantics =
+        complementor.Complement(result->original_semantics, &result->complement_report);
+  } else {
+    result->semantics = result->original_semantics;
+  }
+}
+
+TranslationResult Engine::Translate(const positioning::PositioningSequence& seq) const {
+  // Per-thread block, reused across sequences: each translating thread
+  // reaches a steady state where the AoS->SoA conversion allocates nothing.
+  static thread_local positioning::RecordBlock block;
+  block.AssignFrom(seq);
+  return TranslateBlock(&block);
+}
+
+TranslationResult Engine::TranslateBlock(positioning::RecordBlock* block,
+                                         util::ThreadPool* pool,
+                                         const TranslationStageMetrics* stages) const {
+  TranslationResult result = CleanAndAnnotate(block, pool, stages);
+  Complement(&result, knowledge_, stages);
+  return result;
 }
 
 }  // namespace trips::core

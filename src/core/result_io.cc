@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "core/translator.h"
+#include "core/engine.h"
 
 namespace trips::core {
 

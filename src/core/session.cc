@@ -179,14 +179,11 @@ void StreamSession::TrackBuffered(BufferShard& shard, int64_t delta) {
   if (shard.buffered_records != nullptr) shard.buffered_records->Add(delta);
 }
 
-void StreamSession::PopDeviceLocked(BufferShard& shard, const std::string& device,
+void StreamSession::PopBufferLocked(BufferShard& shard, Buffer& buffer,
+                                    size_t min_records,
                                     std::vector<PoppedBuffer>* out) {
-  auto it = shard.buffers.find(device);
-  if (it == shard.buffers.end()) return;
-  Buffer buffer = std::move(it->second);
-  shard.buffers.erase(it);
   TrackBuffered(shard, -static_cast<int64_t>(buffer.block.Size()));
-  if (buffer.block.Size() < options_.min_flush_records) {
+  if (buffer.block.Size() < min_records) {
     if (stream_metrics_.dropped_small_buffers != nullptr) {
       stream_metrics_.dropped_small_buffers->Add(1);
     }
@@ -216,8 +213,7 @@ std::vector<TranslationResult> StreamSession::TranslateAndDeliver(
   for (PoppedBuffer& popped_buffer : popped) {
     positioning::RecordBlock& block = popped_buffer.block;
     size_t flushed_records = block.Size();
-    TranslationResult result =
-        engine_->TranslateBlockWith(&block, engine_->knowledge(), pool_, &stages_);
+    TranslationResult result = engine_->TranslateBlock(&block, pool_, &stages_);
     result.trace.ingest_steady_ns = popped_buffer.ingest_ns;
     if (stream_metrics_.flushes != nullptr) stream_metrics_.flushes->Add(1);
     if (stream_metrics_.flush_records != nullptr) {
@@ -266,7 +262,8 @@ Result<std::vector<TranslationResult>> StreamSession::Ingest(
     TrackBuffered(shard, 1);
     if (record.timestamp > buffer.newest) buffer.newest = record.timestamp;
     if (buffer.block.Size() >= options_.max_buffer_records) {
-      PopDeviceLocked(shard, device, &popped);
+      PopBufferLocked(shard, buffer, options_.min_flush_records, &popped);
+      shard.buffers.erase(device);
     }
   }
   return TranslateAndDeliver(std::move(popped));
@@ -279,13 +276,7 @@ Result<std::vector<TranslationResult>> StreamSession::Poll(TimestampMs now) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto it = shard.buffers.begin(); it != shard.buffers.end();) {
       if (now - it->second.newest >= options_.flush_after) {
-        TrackBuffered(shard, -static_cast<int64_t>(it->second.block.Size()));
-        if (it->second.block.Size() >= options_.min_flush_records) {
-          popped.push_back(PoppedBuffer{std::move(it->second.block),
-                                        it->second.ingest_ns});
-        } else if (stream_metrics_.dropped_small_buffers != nullptr) {
-          stream_metrics_.dropped_small_buffers->Add(1);
-        }
+        PopBufferLocked(shard, it->second, options_.min_flush_records, &popped);
         it = shard.buffers.erase(it);
       } else {
         ++it;
@@ -300,20 +291,12 @@ Result<std::vector<TranslationResult>> StreamSession::FlushAll() {
   // End-of-stream drain: unlike the age-based Poll flush, every remainder is
   // translated, however short — dropping here would silently lose the tail of
   // any sequence shorter than min_flush_records (stream output must stay
-  // byte-identical to translating the same sequences as a batch). The old
-  // dropping behaviour stays available behind drop_small_on_final_flush.
-  const size_t min_records =
-      options_.drop_small_on_final_flush ? options_.min_flush_records : 1;
+  // byte-identical to translating the same sequences as a batch).
   std::vector<PoppedBuffer> popped;
   for (BufferShard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto& [device, buffer] : shard.buffers) {
-      TrackBuffered(shard, -static_cast<int64_t>(buffer.block.Size()));
-      if (buffer.block.Size() >= min_records) {
-        popped.push_back(PoppedBuffer{std::move(buffer.block), buffer.ingest_ns});
-      } else if (stream_metrics_.dropped_small_buffers != nullptr) {
-        stream_metrics_.dropped_small_buffers->Add(1);
-      }
+      PopBufferLocked(shard, buffer, 1, &popped);
     }
     shard.buffers.clear();
   }

@@ -51,10 +51,11 @@ struct TranslationResponse {
   size_t workers_used = 1;
 };
 
-/// Batch translation over a shared engine. Equivalent to
-/// Translator::TranslateAll, with the per-sequence phases (clean+annotate,
-/// complement) fanned out over the service's thread pool and the session
-/// holding the learned knowledge between requests.
+/// Batch translation over a shared engine: the engine's three layers run over
+/// the whole request — clean+annotate every sequence, learn knowledge from the
+/// batch, complement every sequence — with the per-sequence phases fanned out
+/// over the service's thread pool and the session holding the learned
+/// knowledge between requests.
 class BatchSession {
  public:
   /// `pool` must outlive the session (both normally owned by the Service).
@@ -100,14 +101,8 @@ struct StreamOptions {
   size_t max_buffer_records = 20'000;
   /// Buffers smaller than this are dropped, not translated, when an age-based
   /// flush pops them (Poll deciding a device has departed — a couple of stray
-  /// fixes carry no semantics). A final/explicit FlushAll translates every
-  /// remainder regardless, unless drop_small_on_final_flush opts back in.
+  /// fixes carry no semantics). FlushAll translates every remainder regardless.
   size_t min_flush_records = 4;
-  /// Apply the min_flush_records drop at FlushAll time too. Off by default:
-  /// FlushAll is the end-of-stream drain, and dropping there silently loses
-  /// the tail records of every short trailing sequence (stream output would
-  /// no longer match translating the same sequences as a batch).
-  bool drop_small_on_final_flush = false;
   /// Device-hash sub-maps the ingest buffers are split into, each with its
   /// own mutex, so concurrent ingest threads touching different devices never
   /// contend on one lock. 0 behaves as 1 (a single map). Flush output is
@@ -174,7 +169,7 @@ class StreamSession {
 
   /// Flushes everything regardless of idleness (end of stream), in device-id
   /// order. Translates every remainder, even buffers shorter than
-  /// min_flush_records (see StreamOptions::drop_small_on_final_flush).
+  /// min_flush_records.
   Result<std::vector<TranslationResult>> FlushAll();
 
   /// Devices currently buffered.
@@ -227,9 +222,11 @@ class StreamSession {
   // Updates the occupancy gauges for `delta` records entering (positive) or
   // leaving (negative) `shard`.
   void TrackBuffered(BufferShard& shard, int64_t delta);
-  // Removes `device`'s buffer from `shard` and, unless too small, moves it
-  // onto `out` for translation. Requires shard.mu held.
-  void PopDeviceLocked(BufferShard& shard, const std::string& device,
+  // Takes `buffer`'s records out of `shard`'s occupancy and moves them onto
+  // `out` for translation, or drops them (counted) when fewer than
+  // `min_records`. The caller then erases the emptied buffer. Requires
+  // shard.mu held.
+  void PopBufferLocked(BufferShard& shard, Buffer& buffer, size_t min_records,
                        std::vector<PoppedBuffer>* out);
   // Restores global device-id order over buffers gathered from several shards
   // (within one shard the map already yields device order).

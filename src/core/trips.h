@@ -16,16 +16,20 @@
 //                   device history and merged city-wide analytics
 //   Configurator  — config::DataSelector, config::SpaceModeler,
 //                   config::EventEditor
-//   Translator    — core::Translator, the three-layer algorithm core
-//                   (cleaning::RawDataCleaner, annotation::Annotator,
-//                   complement::Complementor). The hot path is columnar:
-//                   positioning::RecordBlock (SoA columns + validity bitmap)
-//                   flows from the stream buffers through cleaning (reusable
-//                   per-worker CleanerScratch, SIMD mask/sweep kernels,
-//                   batched snapping via Dsm::SnapIfOutsideBatch, parallel
-//                   passes on long sequences) and annotation without AoS
-//                   rematerialization; the AoS entry points remain as
-//                   byte-identical shims
+//   Translator    — the three layers core::Engine builds once and runs
+//                   per sequence: Cleaning (cleaning::RawDataCleaner),
+//                   Annotation (annotation::Annotator over the trained
+//                   annotation::EventClassifier) and Complementing
+//                   (complement::Complementor over mobility knowledge that a
+//                   BatchSession learns per request). The hot path is
+//                   columnar: positioning::RecordBlock (SoA columns +
+//                   validity bitmap) flows from the stream buffers through
+//                   cleaning (reusable per-worker CleanerScratch, SIMD
+//                   mask/sweep kernels, batched snapping via
+//                   Dsm::SnapIfOutsideBatch, parallel passes on long
+//                   sequences) and annotation without AoS
+//                   rematerialization; the layers' AoS entry points remain
+//                   as byte-identical shims
 //   Store         — store::TripStore, the persistent, indexed semantic-
 //                   trajectory store between translation and analytics:
 //                   append-only binary segments (store/segment_codec.h, v2:
@@ -92,7 +96,6 @@
 #include "core/semantics.h"
 #include "core/service.h"
 #include "core/session.h"
-#include "core/translator.h"
 #include "dsm/dsm.h"
 #include "dsm/dsm_json.h"
 #include "dsm/routing.h"

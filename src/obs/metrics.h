@@ -1,5 +1,5 @@
 // trips::obs — the unified metrics & stage-tracing subsystem. Every layer of
-// the serving stack (util::ThreadPool, core::Translator sessions, the
+// the serving stack (util::ThreadPool, core::Engine translation stages, the
 // StreamSession ingest path, store::TripStore, dsm routing/spatial caches,
 // cluster::Cluster) records into one obs::MetricsRegistry, and one
 // deterministic snapshot (obs/statsz.h) exports the lot as JSON.

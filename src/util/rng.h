@@ -31,9 +31,12 @@ class Rng {
   }
 
   /// Normal (Gaussian) sample with the given mean and standard deviation.
+  /// Scales a standard-normal draw, so a stddev of 0 returns `mean` exactly
+  /// and consumes the same draws as any other stddev
+  /// (std::normal_distribution itself requires stddev > 0).
   double Gaussian(double mean, double stddev) {
-    std::normal_distribution<double> d(mean, stddev);
-    return d(engine_);
+    std::normal_distribution<double> unit;
+    return mean + stddev * unit(engine_);
   }
 
   /// Bernoulli trial: true with probability p (p clamped to [0,1]).

@@ -6,6 +6,7 @@
 
 #include "core/engine.h"
 #include "core/result_io.h"
+#include "core/service.h"
 #include "dsm/sample_spaces.h"
 #include "mobility/generator.h"
 #include "positioning/error_model.h"
@@ -67,13 +68,19 @@ TEST_F(EngineFixture, BorrowedDsmMustHaveTopology) {
   EXPECT_EQ(engine.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST_F(EngineFixture, SharedDsmMustHaveTopology) {
+  auto raw = std::make_shared<const dsm::Dsm>();  // topology not computed
+  auto engine = Engine::Builder().ShareDsm(raw).Build();
+  EXPECT_EQ(engine.status().code(), StatusCode::kFailedPrecondition);
+}
+
 TEST_F(EngineFixture, OwnedDsmGetsTopologyComputed) {
   auto mall = dsm::BuildMallDsm({.floors = 2, .shops_per_arm = 2});
   ASSERT_TRUE(mall.ok());
   auto engine = Engine::Builder().SetDsm(std::move(mall).ValueOrDie()).Build();
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_TRUE((*engine)->dsm().topology_computed());
-  EXPECT_NE((*engine)->translator(), nullptr);
+  EXPECT_GT((*engine)->routing_cache_stats().nodes, 0u);  // planner built
   EXPECT_TRUE((*engine)->training_status().ok());
   EXPECT_FALSE((*engine)->classifier().trained());
 }
@@ -111,18 +118,25 @@ TEST_F(EngineFixture, TrainsEventModelAtBuild) {
   EXPECT_TRUE((*engine)->classifier().trained());
 }
 
-TEST_F(EngineFixture, TranslateMatchesTranslator) {
+// The two remaining entry points agree: a single-sequence Translate equals a
+// one-sequence batch that keeps the baseline knowledge.
+TEST_F(EngineFixture, TranslateMatchesOneSequenceBatch) {
   auto engine = Engine::Builder().BorrowDsm(mall_.get()).Build();
   ASSERT_TRUE(engine.ok());
-  Translator reference(mall_.get());
-  ASSERT_TRUE(reference.Init().ok());
+  Service service(*engine);
 
   positioning::PositioningSequence seq = MakeNoisy("m1", 21);
   TranslationResult via_engine = (*engine)->Translate(seq);
-  auto via_translator = reference.Translate(seq);
-  ASSERT_TRUE(via_translator.ok());
+  auto via_batch =
+      service.NewBatchSession()->Submit({.sequences = {seq}, .learn_knowledge = false});
+  ASSERT_TRUE(via_batch.ok());
+  ASSERT_EQ(via_batch->results.size(), 1u);
+  const TranslationResult& batched = via_batch->results[0];
+  EXPECT_EQ(via_engine.cleaned.records, batched.cleaned.records);
+  EXPECT_EQ(SemanticsToJson(via_engine.original_semantics).Dump(),
+            SemanticsToJson(batched.original_semantics).Dump());
   EXPECT_EQ(SemanticsToJson(via_engine.semantics).Dump(),
-            SemanticsToJson(via_translator->semantics).Dump());
+            SemanticsToJson(batched.semantics).Dump());
 }
 
 TEST_F(EngineFixture, SharedEngineTranslatesConcurrently) {

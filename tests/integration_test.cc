@@ -53,18 +53,20 @@ TEST_F(SessionReuseFixture, FullPersistAndReloadRoundTrip) {
   positioning::PositioningSequence raw =
       positioning::ApplyErrorModel(subject->truth, noise, &rng);
 
-  core::Translator session1(&mall.ValueOrDie());
-  ASSERT_TRUE(session1.Init().ok());
-  ASSERT_TRUE(session1.TrainEventModel(training).ok());
-  auto result1 = session1.Translate(raw);
-  ASSERT_TRUE(result1.ok());
+  auto session1 = core::Engine::Builder()
+                      .BorrowDsm(&mall.ValueOrDie())
+                      .SetTrainingData(training)
+                      .Build();
+  ASSERT_TRUE(session1.ok()) << session1.status().ToString();
+  ASSERT_TRUE((*session1)->training_status().ok());
+  core::TranslationResult result1 = (*session1)->Translate(raw);
 
   // Persist: DSM, identifier, raw data, result file.
   ASSERT_TRUE(dsm::SaveToFile(mall.ValueOrDie(), dir_ + "/space.json").ok());
-  ASSERT_TRUE(session1.classifier().SaveToFile(dir_ + "/identifier.json").ok());
+  ASSERT_TRUE((*session1)->classifier().SaveToFile(dir_ + "/identifier.json").ok());
   ASSERT_TRUE(positioning::WriteCsvFile({raw}, dir_ + "/raw.csv").ok());
   ASSERT_TRUE(
-      core::WriteResultFile(result1->semantics, dir_ + "/subject.result.json").ok());
+      core::WriteResultFile(result1.semantics, dir_ + "/subject.result.json").ok());
 
   // ---- session 2: reload everything fresh ----
   auto mall2 = dsm::LoadFromFile(dir_ + "/space.json");
@@ -84,9 +86,9 @@ TEST_F(SessionReuseFixture, FullPersistAndReloadRoundTrip) {
 
   // Re-annotate with the reloaded identifier: the annotation-layer output is
   // identical to session 1's (same input, same model, same DSM geometry).
-  annotation::Annotator annotator1(&mall.ValueOrDie(), &session1.classifier());
+  annotation::Annotator annotator1(&mall.ValueOrDie(), &(*session1)->classifier());
   annotation::Annotator annotator2(&mall2.ValueOrDie(), &identifier2.ValueOrDie());
-  cleaning::RawDataCleaner cleaner1(&mall.ValueOrDie(), session1.planner(),
+  cleaning::RawDataCleaner cleaner1(&mall.ValueOrDie(), &(*session1)->planner(),
                                     core::DefaultPipelineCleanerOptions());
   auto planner2 = dsm::RoutePlanner::Build(&mall2.ValueOrDie());
   ASSERT_TRUE(planner2.ok());
@@ -104,7 +106,7 @@ TEST_F(SessionReuseFixture, FullPersistAndReloadRoundTrip) {
   // The stored result file parses back to session 1's final output.
   auto stored = core::ReadResultFile(dir_ + "/subject.result.json");
   ASSERT_TRUE(stored.ok());
-  EXPECT_EQ(stored->Size(), result1->semantics.Size());
+  EXPECT_EQ(stored->Size(), result1.semantics.Size());
 }
 
 TEST(IntegrationTest, SpaceModelerToAnalyticsFlow) {

@@ -280,11 +280,10 @@ TEST_F(LoadgenFixture, SloAssertionCatchesInjectedViolation) {
   ApplySlo(&regated, ScenarioConfig::DefaultSlo());
   EXPECT_TRUE(regated.slo_pass) << ScenarioResultJson(regated).Pretty();
 
-  // Data-loss injection: make age-flushes drop everything under 10k records
-  // and opt the final flush back into dropping — the zero-drop gate fires.
+  // Data-loss injection: make age-flushes drop everything under 10k records —
+  // the zero-drop gate fires.
   ScenarioConfig lossy = SmallScenario();
   lossy.stream.min_flush_records = 10'000;
-  lossy.stream.drop_small_on_final_flush = true;
   const ScenarioResult dropped = Run(lossy, 0);
   EXPECT_GT(dropped.dropped_small_buffers, 0u);
   EXPECT_FALSE(dropped.slo_pass);

@@ -76,24 +76,10 @@ TEST_F(OnlineFixture, TinyBuffersTranslatedAtFinalFlush) {
   EXPECT_EQ(online.PendingDevices(), 0u);
 }
 
-TEST_F(OnlineFixture, TinyBuffersDroppedWhenOptedBackIn) {
-  StreamOptions opt;
-  opt.drop_small_on_final_flush = true;
-  StreamSession online(engine_, opt);
-  ASSERT_TRUE(online.Ingest("stray", {50, 30, 0, 1000}).ok());
-  ASSERT_TRUE(online.Ingest("stray", {50, 31, 0, 4000}).ok());
-  auto results = online.FlushAll();
-  ASSERT_TRUE(results.ok());
-  EXPECT_TRUE(results->empty());
-  EXPECT_EQ(online.EmittedCount(), 0u);
-  EXPECT_EQ(online.PendingDevices(), 0u);
-}
-
 TEST_F(OnlineFixture, OnlineMatchesBatchTranslation) {
   positioning::PositioningSequence seq = GenerateTruth("same", 5);
   // Batch.
-  auto batch = engine_->translator()->Translate(seq);
-  ASSERT_TRUE(batch.ok());
+  TranslationResult batch = engine_->Translate(seq);
   // Online, fed record by record.
   StreamSession online(engine_);
   for (const auto& r : seq.records) {
@@ -103,9 +89,9 @@ TEST_F(OnlineFixture, OnlineMatchesBatchTranslation) {
   ASSERT_TRUE(streamed.ok());
   ASSERT_EQ(streamed->size(), 1u);
   // Identical input, identical engine state => identical semantics.
-  ASSERT_EQ((*streamed)[0].semantics.Size(), batch->semantics.Size());
-  for (size_t i = 0; i < batch->semantics.Size(); ++i) {
-    EXPECT_EQ((*streamed)[0].semantics.semantics[i], batch->semantics.semantics[i]);
+  ASSERT_EQ((*streamed)[0].semantics.Size(), batch.semantics.Size());
+  for (size_t i = 0; i < batch.semantics.Size(); ++i) {
+    EXPECT_EQ((*streamed)[0].semantics.semantics[i], batch.semantics.semantics[i]);
   }
 }
 

@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "cleaning/cleaner.h"
-#include "core/translator.h"
+#include "core/service.h"
 #include "dsm/sample_spaces.h"
 #include "json/json.h"
 #include "mobility/generator.h"
@@ -107,11 +107,12 @@ TEST_P(TranslationInvariants, SemanticsWellFormed) {
   positioning::PositioningSequence raw =
       positioning::ApplyErrorModel(dev->truth, noise, &rng);
 
-  core::Translator translator(&mall.ValueOrDie());
-  ASSERT_TRUE(translator.Init().ok());
-  auto results = translator.TranslateAll({raw});
-  ASSERT_TRUE(results.ok());
-  const core::TranslationResult& r = (*results)[0];
+  auto engine = core::Engine::Builder().BorrowDsm(&mall.ValueOrDie()).Build();
+  ASSERT_TRUE(engine.ok());
+  core::Service service(engine.ValueOrDie());
+  auto response = service.Translate({.sequences = {raw}});
+  ASSERT_TRUE(response.ok());
+  const core::TranslationResult& r = response->results[0];
 
   // Invariant 1: cleaned preserves record count and timestamps.
   ASSERT_EQ(r.cleaned.records.size(), r.raw.records.size());

@@ -16,6 +16,7 @@
 #include "positioning/error_model.h"
 #include "positioning/record_block.h"
 #include "testing/reference_cleaner.h"
+#include "testing/reference_translator.h"
 #include "util/rng.h"
 
 namespace trips {
@@ -252,7 +253,7 @@ TEST_F(RecordBlockFixture, AnnotationLayerColumnarParity) {
 
 // Full-pipeline byte-identity: the Service's batch output must not depend on
 // the worker count (inter-sequence fan-out AND intra-sequence parallel
-// cleaning), and must equal the single-threaded Translator::TranslateAll.
+// cleaning), and must equal the serial core::testing::ReferenceTranslateAll.
 TEST_F(RecordBlockFixture, ServiceOutputIdenticalAcrossWorkerCounts) {
   auto mall = dsm::BuildMallDsm({.floors = 3, .shops_per_arm = 2});
   ASSERT_TRUE(mall.ok());
@@ -272,7 +273,7 @@ TEST_F(RecordBlockFixture, ServiceOutputIdenticalAcrossWorkerCounts) {
   ASSERT_TRUE(engine.ok());
 
   std::vector<core::TranslationResult> baseline;
-  for (size_t workers : {0u, 4u}) {
+  for (size_t workers : {0u, 1u, 4u}) {
     core::Service service(engine.ValueOrDie(), {.worker_threads = workers});
     auto response = service.Translate({.sequences = fleet});
     ASSERT_TRUE(response.ok());
@@ -292,12 +293,9 @@ TEST_F(RecordBlockFixture, ServiceOutputIdenticalAcrossWorkerCounts) {
     }
   }
 
-  // The stateful Translator front-end (same options, same DSM) must agree.
-  core::Translator translator(&engine.ValueOrDie()->dsm(), options);
-  ASSERT_TRUE(translator.Init().ok());
-  auto all = translator.TranslateAll(fleet);
-  ASSERT_TRUE(all.ok());
-  std::vector<core::TranslationResult> legacy = std::move(all).ValueOrDie();
+  // The serial batch reference (same engine) must agree.
+  std::vector<core::TranslationResult> legacy =
+      core::testing::ReferenceTranslateAll(*engine.ValueOrDie(), fleet);
   std::stable_sort(legacy.begin(), legacy.end(),
                    [](const core::TranslationResult& a,
                       const core::TranslationResult& b) {

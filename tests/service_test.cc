@@ -10,6 +10,7 @@
 #include "dsm/sample_spaces.h"
 #include "mobility/generator.h"
 #include "positioning/error_model.h"
+#include "testing/reference_translator.h"
 
 namespace trips::core {
 namespace {
@@ -70,20 +71,19 @@ class ServiceFixture : public ::testing::Test {
 TEST_F(ServiceFixture, BatchByteIdenticalToLegacyTranslateAll) {
   std::vector<positioning::PositioningSequence> fleet = MakeFleet(6, 101);
 
-  // The stateful Translator's batch path, which BatchSession must reproduce.
-  Translator legacy(mall_.get());
-  ASSERT_TRUE(legacy.Init().ok());
-  auto reference = legacy.TranslateAll(fleet);
-  ASSERT_TRUE(reference.ok());
+  // The serial batch reference, which BatchSession must reproduce.
+  auto reference = DumpByDevice(testing::ReferenceTranslateAll(*engine_, fleet));
 
-  // The same request through the Service, with real parallelism.
-  Service service(engine_, Workers(4));
-  auto response = service.Translate({.sequences = fleet});
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  ASSERT_EQ(response->results.size(), fleet.size());
-  EXPECT_EQ(DumpByDevice(response->results), DumpByDevice(*reference));
-  EXPECT_GT(response->total_records, 0u);
-  EXPECT_EQ(response->workers_used, 5u);
+  // The same request through the Service, serial and with real parallelism.
+  for (size_t workers : {0u, 1u, 4u}) {
+    Service service(engine_, Workers(workers));
+    auto response = service.Translate({.sequences = fleet});
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_EQ(response->results.size(), fleet.size());
+    EXPECT_EQ(DumpByDevice(response->results), reference) << workers << " workers";
+    EXPECT_GT(response->total_records, 0u);
+    EXPECT_EQ(response->workers_used, workers + 1);
+  }
 }
 
 TEST_F(ServiceFixture, BatchIdenticalAcrossWorkerCounts) {
@@ -307,20 +307,6 @@ TEST_F(ServiceFixture, FlushAllTranslatesTrailingShortSequences) {
   ASSERT_TRUE(polled.ok());
   EXPECT_TRUE(polled->empty());
   EXPECT_EQ(poll_stream->PendingRecords(), 0u);  // dropped, not retained
-
-  // Opting back into the old behavior drops the tails at FlushAll too.
-  StreamOptions dropping;
-  dropping.drop_small_on_final_flush = true;
-  auto legacy_stream = service.NewStreamSession(dropping);
-  for (const auto& seq : fleet) {
-    for (const auto& record : seq.records) {
-      ASSERT_TRUE(legacy_stream->Ingest(seq.device_id, record).ok());
-    }
-  }
-  auto legacy = legacy_stream->FlushAll();
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_TRUE(legacy->empty());
-  EXPECT_EQ(legacy_stream->PendingRecords(), 0u);
 }
 
 // StreamOptions::trace_clock replaces the steady clock behind the

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
-#include "core/translator.h"
+#include <memory>
+
+#include "core/service.h"
 #include "dsm/sample_spaces.h"
 #include "mobility/generator.h"
 #include "positioning/error_model.h"
 
+// The Translator of TRIPS (§2): the three layers Cleaning -> Annotation ->
+// Complementing, run through the Engine (one sequence) and the Service (a
+// batch that learns mobility knowledge).
 namespace trips::core {
 namespace {
 
@@ -35,64 +40,55 @@ class TranslatorFixture : public ::testing::Test {
     return out;
   }
 
+  // An engine over the fixture's mall; fails the test when Build does.
+  std::shared_ptr<const Engine> MakeEngine(
+      TranslatorOptions options = {},
+      std::vector<config::LabeledSegment> training = {}) {
+    auto engine = Engine::Builder()
+                      .BorrowDsm(dsm_.get())
+                      .SetOptions(options)
+                      .SetTrainingData(std::move(training))
+                      .Build();
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    return std::move(engine).ValueOrDie();
+  }
+
   std::unique_ptr<dsm::Dsm> dsm_;
   std::unique_ptr<dsm::RoutePlanner> planner_;
   std::unique_ptr<mobility::MobilityGenerator> generator_;
   std::map<std::string, positioning::PositioningSequence> truth_by_id_;
 };
 
-TEST_F(TranslatorFixture, RequiresInit) {
-  Translator translator(dsm_.get());
-  positioning::PositioningSequence seq;
-  EXPECT_EQ(translator.Translate(seq).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(translator.TranslateAll({}).status().code(),
-            StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(translator.Init().ok());
-  EXPECT_NE(translator.planner(), nullptr);
-}
-
-TEST_F(TranslatorFixture, InitValidatesDsm) {
-  Translator null_translator(nullptr);
-  EXPECT_EQ(null_translator.Init().code(), StatusCode::kInvalidArgument);
-  dsm::Dsm raw_dsm;  // topology not computed
-  Translator not_ready(&raw_dsm);
-  EXPECT_EQ(not_ready.Init().code(), StatusCode::kFailedPrecondition);
-}
-
 TEST_F(TranslatorFixture, TranslateProducesSemantics) {
-  Translator translator(dsm_.get());
-  ASSERT_TRUE(translator.Init().ok());
+  std::shared_ptr<const Engine> engine = MakeEngine();
   mobility::GeneratedDevice dev = MakeNoisyDevice("t1", 11);
-  auto result = translator.Translate(dev.truth);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->raw.records.size(), dev.truth.records.size());
-  EXPECT_EQ(result->cleaned.records.size(), dev.truth.records.size());
-  EXPECT_FALSE(result->semantics.Empty());
-  EXPECT_EQ(result->semantics.device_id, "t1");
-  EXPECT_GT(result->cleaning_report.total_records, 0u);
+  TranslationResult result = engine->Translate(dev.truth);
+  EXPECT_EQ(result.raw.records.size(), dev.truth.records.size());
+  EXPECT_EQ(result.cleaned.records.size(), dev.truth.records.size());
+  EXPECT_FALSE(result.semantics.Empty());
+  EXPECT_EQ(result.semantics.device_id, "t1");
+  EXPECT_GT(result.cleaning_report.total_records, 0u);
 }
 
 TEST_F(TranslatorFixture, TranslateAllBuildsKnowledge) {
-  Translator translator(dsm_.get());
-  ASSERT_TRUE(translator.Init().ok());
+  Service service(MakeEngine());
   std::vector<positioning::PositioningSequence> batch;
   for (int i = 0; i < 5; ++i) {
     batch.push_back(MakeNoisyDevice("b" + std::to_string(i), 20 + i).truth);
   }
-  auto results = translator.TranslateAll(batch);
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
-  ASSERT_EQ(results->size(), 5u);
+  std::unique_ptr<BatchSession> session = service.NewBatchSession();
+  auto response = session->Submit({.sequences = batch});
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_EQ(response->results.size(), 5u);
   // Knowledge was learned from the batch.
-  EXPECT_GT(translator.knowledge().observed_transitions, 0u);
-  for (const TranslationResult& r : *results) {
+  EXPECT_GT(session->knowledge().observed_transitions, 0u);
+  for (const TranslationResult& r : response->results) {
     EXPECT_FALSE(r.semantics.Empty());
   }
 }
 
 TEST_F(TranslatorFixture, ComplementingFillsGaps) {
-  Translator translator(dsm_.get());
-  ASSERT_TRUE(translator.Init().ok());
+  Service service(MakeEngine());
   // Higher gap rate so complementing has work to do.
   std::vector<positioning::PositioningSequence> batch;
   Rng rng(33);
@@ -106,10 +102,10 @@ TEST_F(TranslatorFixture, ComplementingFillsGaps) {
     noise.gap_max = 6 * kMillisPerMinute;
     batch.push_back(positioning::ApplyErrorModel(dev->truth, noise, &rng));
   }
-  auto results = translator.TranslateAll(batch);
-  ASSERT_TRUE(results.ok());
+  auto response = service.Translate({.sequences = batch});
+  ASSERT_TRUE(response.ok());
   size_t inferred = 0, gaps = 0;
-  for (const TranslationResult& r : *results) {
+  for (const TranslationResult& r : response->results) {
     gaps += r.complement_report.gaps_found;
     inferred += r.complement_report.triplets_inferred;
     // The complemented sequence is a superset of the original.
@@ -123,20 +119,18 @@ TEST_F(TranslatorFixture, AblationFlagsDisableLayers) {
   TranslatorOptions opt;
   opt.enable_cleaning = false;
   opt.enable_complementing = false;
-  Translator translator(dsm_.get(), opt);
-  ASSERT_TRUE(translator.Init().ok());
+  std::shared_ptr<const Engine> engine = MakeEngine(opt);
   mobility::GeneratedDevice dev = MakeNoisyDevice("a1", 44);
-  auto result = translator.Translate(dev.truth);
-  ASSERT_TRUE(result.ok());
+  TranslationResult result = engine->Translate(dev.truth);
   // No cleaning: cleaned == raw.
-  ASSERT_EQ(result->cleaned.records.size(), result->raw.records.size());
-  for (size_t i = 0; i < result->raw.records.size(); ++i) {
-    EXPECT_EQ(result->cleaned.records[i], result->raw.records[i]);
+  ASSERT_EQ(result.cleaned.records.size(), result.raw.records.size());
+  for (size_t i = 0; i < result.raw.records.size(); ++i) {
+    EXPECT_EQ(result.cleaned.records[i], result.raw.records[i]);
   }
-  EXPECT_EQ(result->cleaning_report.speed_violations, 0u);
+  EXPECT_EQ(result.cleaning_report.speed_violations, 0u);
   // No complementing: semantics == original_semantics.
-  EXPECT_EQ(result->semantics.Size(), result->original_semantics.Size());
-  EXPECT_EQ(result->complement_report.gaps_found, 0u);
+  EXPECT_EQ(result.semantics.Size(), result.original_semantics.Size());
+  EXPECT_EQ(result.complement_report.gaps_found, 0u);
 }
 
 TEST_F(TranslatorFixture, TrainedModelImprovesOverUntrained) {
@@ -154,14 +148,12 @@ TEST_F(TranslatorFixture, TrainedModelImprovesOverUntrained) {
     }
   }
 
-  Translator trained(dsm_.get());
-  ASSERT_TRUE(trained.Init().ok());
-  ASSERT_TRUE(trained.TrainEventModel(training).ok());
-  EXPECT_TRUE(trained.classifier().trained());
+  std::shared_ptr<const Engine> trained = MakeEngine({}, training);
+  ASSERT_TRUE(trained->training_status().ok());
+  EXPECT_TRUE(trained->classifier().trained());
 
-  Translator untrained(dsm_.get());
-  ASSERT_TRUE(untrained.Init().ok());
-  EXPECT_FALSE(untrained.classifier().trained());
+  std::shared_ptr<const Engine> untrained = MakeEngine();
+  EXPECT_FALSE(untrained->classifier().trained());
 
   // Evaluate both on fresh clean devices.
   double trained_score = 0, untrained_score = 0;
@@ -170,12 +162,10 @@ TEST_F(TranslatorFixture, TrainedModelImprovesOverUntrained) {
   for (int d = 0; d < 5; ++d) {
     auto dev = generator_->GenerateDevice("eval" + std::to_string(d), 0, &eval_rng);
     ASSERT_TRUE(dev.ok());
-    auto rt = trained.Translate(dev->truth);
-    auto ru = untrained.Translate(dev->truth);
-    ASSERT_TRUE(rt.ok());
-    ASSERT_TRUE(ru.ok());
-    trained_score += CompareSemantics(dev->semantics, rt->semantics).event_match;
-    untrained_score += CompareSemantics(dev->semantics, ru->semantics).event_match;
+    TranslationResult rt = trained->Translate(dev->truth);
+    TranslationResult ru = untrained->Translate(dev->truth);
+    trained_score += CompareSemantics(dev->semantics, rt.semantics).event_match;
+    untrained_score += CompareSemantics(dev->semantics, ru.semantics).event_match;
     ++evaluated;
   }
   trained_score /= evaluated;

@@ -230,6 +230,17 @@ TEST(RngTest, GaussianMeanApproximation) {
   EXPECT_NEAR(sum / n, 5.0, 0.1);
 }
 
+// A zero spread is the exact mean and leaves the random stream where a
+// positive spread would (noise knobs set to 0 must not reshuffle a run).
+TEST(RngTest, GaussianZeroStddevReturnsMeanAndKeepsStream) {
+  Rng zero(9), twin(9);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(zero.Gaussian(3, 0), 3.0);
+    twin.Gaussian(3, 1);
+    EXPECT_EQ(zero.Uniform(0, 1), twin.Uniform(0, 1));
+  }
+}
+
 TEST(RngTest, WeightedIndexFollowsWeights) {
   Rng rng(4);
   std::vector<double> weights = {0.0, 1.0, 3.0};
