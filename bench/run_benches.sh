@@ -27,11 +27,6 @@
 #                         mmap/lazy path, windowed scans on the partitioned
 #                         vs flat layout, plus append/history/visitor
 #                         latencies
-#   BENCH_loadgen.json  — load-generator SLO curves: the three named
-#                         scenarios (steady/diurnal/burst) replayed unpaced
-#                         into Service and Cluster targets, plus the steady
-#                         scenario paced at fixed wall records/sec for the
-#                         throughput-vs-tail-latency curve
 #
 # Usage: bench/run_benches.sh [build_dir] [out_dir] [min_time]
 #   build_dir  where the bench binaries live        (default: build)
@@ -78,9 +73,5 @@ run_suite bench_obs_overhead "$OUT_DIR/BENCH_obs_overhead.json"
 # (meant for humans) doesn't slow the JSON capture down.
 run_suite bench_store_query "$OUT_DIR/BENCH_store.json" \
   'BM_StoreAppend|BM_DeviceHistory|BM_RegionVisitors|BM_ColdOpenFirstWindow|BM_WindowScan'
-# The paced rows sleep against the wall clock by design; keep the JSON capture
-# to the cheaper paced points (the unpaced scenario grid runs in full).
-run_suite bench_loadgen "$OUT_DIR/BENCH_loadgen.json" \
-  'BM_LoadgenScenario|BM_LoadgenPaced/1000|BM_LoadgenPaced/4000'
 
-echo "Wrote $OUT_DIR/BENCH_spatial.json, $OUT_DIR/BENCH_service.json, $OUT_DIR/BENCH_cleaning.json, $OUT_DIR/BENCH_routing.json, $OUT_DIR/BENCH_cluster.json, $OUT_DIR/BENCH_obs_overhead.json, $OUT_DIR/BENCH_store.json and $OUT_DIR/BENCH_loadgen.json"
+echo "Wrote $OUT_DIR/BENCH_spatial.json, $OUT_DIR/BENCH_service.json, $OUT_DIR/BENCH_cleaning.json, $OUT_DIR/BENCH_routing.json, $OUT_DIR/BENCH_cluster.json, $OUT_DIR/BENCH_obs_overhead.json and $OUT_DIR/BENCH_store.json"

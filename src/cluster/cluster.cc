@@ -184,10 +184,15 @@ Status Cluster::Ingest(const std::string& venue_id, const std::string& device,
   if (shard == nullptr) {
     return Status::NotFound("unknown venue: " + venue_id);
   }
+  // Counted before the session call, so a cap-triggered flush never shows a
+  // stored sequence ahead of its records (see ClusterStats); a record the
+  // session rejects is taken back out.
   shard->ingested.fetch_add(1, std::memory_order_relaxed);
   // The session sink is always installed, so a cap-triggered inline flush is
   // delivered (store + cluster sink) and the returned vector is empty.
-  return shard->session->Ingest(device, record).status();
+  Status status = shard->session->Ingest(device, record).status();
+  if (!status.ok()) shard->ingested.fetch_sub(1, std::memory_order_relaxed);
+  return status;
 }
 
 Result<size_t> Cluster::IngestBatch(std::span<const ClusterRecord> records) {
@@ -242,14 +247,6 @@ size_t Cluster::PendingRecords() const {
   size_t total = 0;
   for (VenueShard* shard : SnapshotShards()) {
     total += shard->session->PendingRecords();
-  }
-  return total;
-}
-
-size_t Cluster::PendingDevices() const {
-  size_t total = 0;
-  for (VenueShard* shard : SnapshotShards()) {
-    total += shard->session->PendingDevices();
   }
   return total;
 }

@@ -154,19 +154,22 @@ class Cluster {
   // ---- ingestion ------------------------------------------------------------
 
   /// Buffers one record into its venue's shard. NotFound on an unknown venue
-  /// id. A record that fills the device's buffer triggers an inline flush
-  /// (translated + stored + delivered to the sink).
+  /// id; InvalidArgument on an empty device id (counted under
+  /// stream.rejected_records). A record that fills the device's buffer
+  /// triggers an inline flush (translated + stored + delivered to the sink).
   Status Ingest(const std::string& venue_id, const std::string& device,
                 const positioning::RawRecord& record);
 
   /// Buffers a batch, routing each record to its venue. Unknown-venue records
   /// are skipped and counted (Stats().dropped_unknown_venue); returns the
-  /// number accepted.
+  /// number accepted. Any other Ingest error stops the batch and is returned
+  /// (records before it stay buffered).
   Result<size_t> IngestBatch(std::span<const ClusterRecord> records);
 
   /// A self-contained ingest callable for feed pumps — the cluster analogue
   /// of store::TripStore::MakeSink. Unknown-venue records are dropped and
-  /// counted. The cluster must outlive the callable.
+  /// counted, as are records with an empty device id (under
+  /// stream.rejected_records). The cluster must outlive the callable.
   std::function<void(const ClusterRecord&)> MakeSink();
 
   /// Installs (or, with nullptr, removes) the cluster-wide delivery callback.
@@ -179,14 +182,13 @@ class Cluster {
 
   /// Flushes every buffered device of every venue (end of stream). Like
   /// StreamSession::FlushAll, remainders shorter than min_flush_records are
-  /// translated too unless the venue's stream options opt back into dropping.
+  /// translated too.
   Status FlushAll();
 
-  /// Records currently buffered across every venue's stream session — the
-  /// cluster-wide ingest queue depth the load/SLO harness samples.
+  /// Records currently buffered across every venue's stream session (the
+  /// cluster-wide ingest queue depth; 0 after a FlushAll with no concurrent
+  /// ingest).
   size_t PendingRecords() const;
-  /// Devices currently buffered across every venue's stream session.
-  size_t PendingDevices() const;
 
   /// Seals, persists and checkpoints every venue store that has a directory
   /// (each store's manifest is rewritten, so this is the cluster's durable

@@ -120,6 +120,7 @@ StreamSession::StreamSession(std::shared_ptr<const Engine> engine,
   if (metrics_ == nullptr) return;
   stages_ = ResolveStageMetrics(metrics_.get());
   stream_metrics_.records_ingested = metrics_->counter("stream.records_ingested");
+  stream_metrics_.rejected_records = metrics_->counter("stream.rejected_records");
   stream_metrics_.buffered_records = metrics_->gauge("stream.buffered_records");
   stream_metrics_.flushes = metrics_->counter("stream.flushes");
   stream_metrics_.flush_records = metrics_->counter("stream.flush_records");
@@ -137,10 +138,6 @@ StreamSession::StreamSession(std::shared_ptr<const Engine> engine,
 void StreamSession::SetSink(Sink sink) {
   std::lock_guard<std::mutex> lock(mu_);
   sink_ = std::move(sink);
-}
-
-uint64_t StreamSession::TraceNowNs() const {
-  return options_.trace_clock ? options_.trace_clock() : obs::NowNanos();
 }
 
 StreamSession::BufferShard& StreamSession::ShardFor(const std::string& device) {
@@ -223,7 +220,7 @@ std::vector<TranslationResult> StreamSession::TranslateAndDeliver(
     // its translation is about to be delivered.
     if (popped_buffer.ingest_ns != 0 &&
         stream_metrics_.ingest_to_result_ns != nullptr) {
-      stream_metrics_.ingest_to_result_ns->Record(TraceNowNs() -
+      stream_metrics_.ingest_to_result_ns->Record(obs::NowNanos() -
                                                   popped_buffer.ingest_ns);
     }
     out.push_back(std::move(result));
@@ -241,6 +238,14 @@ std::vector<TranslationResult> StreamSession::TranslateAndDeliver(
 
 Result<std::vector<TranslationResult>> StreamSession::Ingest(
     const std::string& device, const positioning::RawRecord& record) {
+  if (device.empty()) {
+    // A buffer without a device id would flush into a result no store
+    // accepts, so the record is refused here, where the caller still sees it.
+    if (stream_metrics_.rejected_records != nullptr) {
+      stream_metrics_.rejected_records->Add(1);
+    }
+    return Status::InvalidArgument("stream record needs a device id");
+  }
   std::vector<PoppedBuffer> popped;
   {
     BufferShard& shard = ShardFor(device);
@@ -252,7 +257,7 @@ Result<std::vector<TranslationResult>> StreamSession::Ingest(
       // only while the latency histogram is live.
       if (stream_metrics_.ingest_to_result_ns != nullptr &&
           stream_metrics_.ingest_to_result_ns->recording()) {
-        buffer.ingest_ns = TraceNowNs();
+        buffer.ingest_ns = obs::NowNanos();
       }
     }
     buffer.block.Append(record);

@@ -109,15 +109,6 @@ struct StreamOptions {
   /// byte-identical across any shard count: flushes gather from every shard
   /// and re-establish global device-id order before translating.
   size_t buffer_shards = 8;
-  /// Clock behind the stream.ingest_to_result_ns trace stamps, nanoseconds.
-  /// Null (the default) reads obs::NowNanos() — wall latency on a live feed.
-  /// A load/replay harness driving the session from a simulated schedule
-  /// installs its own clock here so the recorded ingest-to-result latency is
-  /// measured on the simulated timeline instead of being polluted by replay
-  /// speed. Both the first-record stamp and the delivery reading use this
-  /// clock; it must be monotone and thread-safe. Translation output is
-  /// byte-identical whatever clock is installed.
-  std::function<uint64_t()> trace_clock;
 };
 
 /// Incremental translation over a shared engine: records arrive one at a time
@@ -160,6 +151,8 @@ class StreamSession {
 
   /// Buffers one record. Returns the translation of the device's buffer when
   /// ingestion itself forced a flush (buffer cap reached), else no value.
+  /// InvalidArgument for an empty device id: the record is not buffered and
+  /// counts under stream.rejected_records.
   Result<std::vector<TranslationResult>> Ingest(const std::string& device,
                                                 const positioning::RawRecord& record);
 
@@ -183,8 +176,7 @@ class StreamSession {
   struct Buffer {
     positioning::RecordBlock block;
     TimestampMs newest = 0;
-    /// Trace-clock stamp of the FIRST record's arrival (0 = not traced) —
-    /// steady clock by default, StreamOptions::trace_clock when installed.
+    /// obs::NowNanos() at the FIRST record's arrival (0 = not traced).
     uint64_t ingest_ns = 0;
   };
   /// One device-hash shard of the ingest buffers. Ingest locks only the
@@ -206,6 +198,7 @@ class StreamSession {
   /// Resolved stream metric pointers (all null without a registry).
   struct StreamMetrics {
     obs::Counter* records_ingested = nullptr;
+    obs::Counter* rejected_records = nullptr;  // empty device id
     obs::Gauge* buffered_records = nullptr;  // across all shards
     obs::Counter* flushes = nullptr;         // buffers translated+delivered
     obs::Counter* flush_records = nullptr;   // records in those buffers
@@ -213,10 +206,6 @@ class StreamSession {
     obs::Histogram* ingest_to_result_ns = nullptr;
   };
 
-  // Now on the trace-stamp clock: options_.trace_clock when installed, else
-  // obs::NowNanos(). Every ingest stamp and delivery reading goes through
-  // this, so stamp and reading always share one time base.
-  uint64_t TraceNowNs() const;
   // The shard owning `device`'s buffer.
   BufferShard& ShardFor(const std::string& device);
   // Updates the occupancy gauges for `delta` records entering (positive) or

@@ -53,17 +53,10 @@
 //                   Service::DumpStatsz / Cluster::DumpStatsz
 //   Viewer        — viewer::Timeline, viewer::MapRenderer, viewer::RenderHtml,
 //                   plus store-backed views (viewer/store_view.h)
-//   Load & SLO    — loadgen::EventList (discrete-event clock + heap of
-//                   self-rescheduling sources) driving loadgen::RunScenario:
-//                   Poisson/diurnal/heavy-tail session arrivals replayed
-//                   open-loop into a Service or Cluster ingest target, exact
-//                   ingest-to-result latency quantiles, queue-depth/drop
-//                   sampling from the metrics registry, and SLO gating with
-//                   JSON reports (loadgen/harness.h, loadgen/scenario.h,
-//                   loadgen_slo CLI)
 //   Substrates    — dsm::Dsm (+ routing, JSON, sample spaces),
 //                   positioning::* (records, CSV, error model),
-//                   mobility::MobilityGenerator (ground-truth data).
+//                   mobility::MobilityGenerator (ground-truth data),
+//                   loadgen::SteadyScenario (the steady city traffic shape).
 //                   Indoor routing runs on a contracted (CH-lite)
 //                   portal-to-portal shortcut graph with memoized Dijkstra
 //                   trees; the flat clique graph stays as the bit-identical
@@ -101,8 +94,6 @@
 #include "dsm/routing.h"
 #include "dsm/sample_spaces.h"
 #include "dsm/validation.h"
-#include "loadgen/event_list.h"
-#include "loadgen/harness.h"
 #include "loadgen/scenario.h"
 #include "mobility/generator.h"
 #include "obs/metrics.h"

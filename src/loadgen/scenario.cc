@@ -1,19 +1,13 @@
 #include "loadgen/scenario.h"
 
-#include <cmath>
-
 namespace trips::loadgen {
-
-namespace {
-constexpr double kPi = 3.14159265358979323846;
-}
 
 mobility::GeneratorOptions ScenarioConfig::ShortSessionMobility() {
   mobility::GeneratorOptions options;
-  // Short mall visits: a couple of episodes, sub-minute stays. Session
+  // Short mall visits: a couple of episodes, sub-minute stays. Visit
   // lifetimes land in the single-digit minutes, the same order of magnitude
-  // as the flush windows below, so the harness exercises age-based flushes,
-  // cap flushes and final-drain remainders in every run.
+  // as the flush windows below, so a replay exercises age-based flushes and
+  // final-drain remainders.
   options.episodes_min = 2;
   options.episodes_max = 4;
   options.stay_min = 30 * kMillisPerSecond;
@@ -33,97 +27,18 @@ core::StreamOptions ScenarioConfig::ShortSessionStream() {
 positioning::ErrorModelOptions ScenarioConfig::DefaultNoise() {
   positioning::ErrorModelOptions noise;
   // No long coverage gaps (see the field comment in ScenarioConfig): a gap
-  // wider than flush_after would age-flush mid-session fragments and make the
-  // zero-drop SLO gate depend on the noise draw. Every other error process
-  // keeps its model default.
+  // wider than flush_after would age-flush mid-visit fragments and make
+  // perfbench's no-drop check depend on the noise draw. Every other error
+  // process keeps its model default.
   noise.gaps_per_hour = 0;
-  noise.floor_count = 2;  // the harness venues are small; callers override
+  noise.floor_count = 2;  // small venues; callers override
   return noise;
-}
-
-SloThresholds ScenarioConfig::DefaultSlo() {
-  SloThresholds slo;
-  // Unpaced runs measure latency on the simulated clock, where
-  // ingest-to-result is dominated by the session lifetime plus the flush
-  // window — minutes, not milliseconds. The default gate catches buffers
-  // that sit an order of magnitude past that (a stuck flush path), holds
-  // trivially for wall-clock paced runs, and tolerates zero data loss.
-  slo.p50_ms = 15.0 * 60 * 1000;
-  slo.p95_ms = 20.0 * 60 * 1000;
-  slo.p99_ms = 25.0 * 60 * 1000;
-  slo.max_dropped_buffers = 0;
-  slo.max_pending_after_flush = 0;
-  return slo;
 }
 
 ScenarioConfig SteadyScenario() {
   ScenarioConfig config;
   config.name = "steady";
   return config;
-}
-
-ScenarioConfig DiurnalRampScenario() {
-  ScenarioConfig config;
-  config.name = "diurnal";
-  // One full diurnal wave compressed into the arrival window: the rate
-  // starts at the trough (phase -pi/2), ramps to ~2x base at the peak and
-  // falls back. The thinning sampler in the arrival process handles the
-  // time-varying rate exactly.
-  config.diurnal_amplitude = 0.9;
-  config.diurnal_period = config.duration;
-  config.diurnal_phase = -kPi / 2;
-  return config;
-}
-
-ScenarioConfig HeavyTailBurstScenario() {
-  ScenarioConfig config;
-  config.name = "burst";
-  // Mostly steady arrivals, but one in twenty is a stadium-gate moment: 25
-  // sessions starting at the same instant. Tail latency under these spikes
-  // is what the p99 gate is for.
-  config.arrivals_per_min = 120;
-  config.heavy_tail_prob = 0.05;
-  config.heavy_tail_mult = 25;
-  return config;
-}
-
-std::vector<std::string> ScenarioNames() { return {"steady", "diurnal", "burst"}; }
-
-Result<ScenarioConfig> ScenarioByName(const std::string& name) {
-  if (name == "steady") return SteadyScenario();
-  if (name == "diurnal") return DiurnalRampScenario();
-  if (name == "burst") return HeavyTailBurstScenario();
-  return Status::NotFound("unknown scenario \"" + name +
-                          "\" (known: steady, diurnal, burst)");
-}
-
-json::Value ScenarioJson(const ScenarioConfig& config) {
-  json::Object o;
-  o["name"] = config.name;
-  o["seed"] = static_cast<int64_t>(config.seed);
-  o["max_sessions"] = static_cast<int64_t>(config.max_sessions);
-  o["arrivals_per_min"] = config.arrivals_per_min;
-  o["duration_ms"] = config.duration;
-  o["diurnal_amplitude"] = config.diurnal_amplitude;
-  o["diurnal_period_ms"] = config.diurnal_period;
-  o["heavy_tail_prob"] = config.heavy_tail_prob;
-  o["heavy_tail_mult"] = config.heavy_tail_mult;
-  o["session_templates"] = static_cast<int64_t>(config.session_templates);
-  o["apply_noise"] = config.apply_noise;
-  o["poll_interval_ms"] = config.poll_interval;
-  o["sample_interval_ms"] = config.sample_interval;
-  o["flush_after_ms"] = config.stream.flush_after;
-  o["max_buffer_records"] = static_cast<int64_t>(config.stream.max_buffer_records);
-  o["min_flush_records"] = static_cast<int64_t>(config.stream.min_flush_records);
-  o["target_records_per_sec"] = config.target_records_per_sec;
-  json::Object slo;
-  slo["p50_ms"] = config.slo.p50_ms;
-  slo["p95_ms"] = config.slo.p95_ms;
-  slo["p99_ms"] = config.slo.p99_ms;
-  slo["max_dropped_buffers"] = config.slo.max_dropped_buffers;
-  slo["max_pending_after_flush"] = config.slo.max_pending_after_flush;
-  o["slo"] = std::move(slo);
-  return json::Value(std::move(o));
 }
 
 }  // namespace trips::loadgen

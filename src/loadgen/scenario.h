@@ -1,129 +1,48 @@
-// loadgen scenarios — the parameter space of one load run: how device
-// sessions arrive (Poisson base rate, diurnal curve, heavy-tail bursts), what
-// the sessions look like (mobility::GeneratorOptions templates), how the
-// target is driven (poll cadence, flush policy, optional wall-clock pacing),
-// and what counts as passing (SloThresholds).
+// loadgen scenarios — the steady city traffic shape: how often visits start
+// (a Poisson rate), what a visit looks like (short mobility::GeneratorOptions
+// itineraries under Wi-Fi noise), and how a stream front door is driven and
+// flushed (poll cadence, core::StreamOptions).
 //
-// Three named scenarios ship as the standing SLO gate — steady-state, a
-// diurnal ramp, and a heavy-tail burst storm — each sized to run in well
-// under a second unpaced so CI can afford all of them against both a single
-// Service and a multi-venue Cluster.
+// perfbench's city_steady workload replays this scenario into a Cluster, and
+// the stream replay tests (tests/testing/replay.h) use its itineraries, noise,
+// poll cadence and flush policy.
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "core/session.h"
-#include "json/json.h"
 #include "mobility/generator.h"
 #include "positioning/error_model.h"
-#include "util/result.h"
 #include "util/time_util.h"
 
 namespace trips::loadgen {
 
-/// What a scenario must hold for its SLO gate to pass. Latency thresholds
-/// apply to the ingest-to-result quantiles the harness measures exactly from
-/// the delivery stream; a threshold <= 0 is unchecked. Counts of -1 are
-/// unchecked.
-struct SloThresholds {
-  double p50_ms = 0;
-  double p95_ms = 0;
-  double p99_ms = 0;
-  /// Buffers dropped for being under min_flush_records. Default 0: any
-  /// age-dropped data is an SLO violation (the final flush never drops).
-  int64_t max_dropped_buffers = 0;
-  /// Records still buffered after the final FlushAll. Default 0: the drain
-  /// must be complete — this is the regression gate on flush data loss.
-  int64_t max_pending_after_flush = 0;
-};
-
-/// One load scenario. Defaults describe a small steady-state run; the named
-/// factories below adjust them.
+/// One load scenario. The defaults describe the steady scenario.
 struct ScenarioConfig {
   std::string name = "steady";
-  uint64_t seed = 1;
-
-  // ---- offered load: the arrival process ----------------------------------
-  /// Sessions to start, total (arrival process stops at the cap or at the end
-  /// of the window, whichever first).
-  size_t max_sessions = 200;
-  /// Base Poisson arrival rate, session starts per simulated minute.
+  /// Poisson arrival rate, visit starts per simulated minute.
   double arrivals_per_min = 240;
-  /// Arrival window in simulated time (sessions run past its end; the run
-  /// continues until every buffer drains).
-  DurationMs duration = 20 * kMillisPerMinute;
-  /// Diurnal rate curve: rate(t) = base * max(0, 1 + A sin(2pi t/period +
-  /// phase)). Amplitude 0 = homogeneous Poisson.
-  double diurnal_amplitude = 0;
-  DurationMs diurnal_period = kMillisPerDay;
-  double diurnal_phase = 0;  ///< radians at t = 0
-  /// Heavy-tail bursts (the cascade heavy_tail_prob/heavy_tail_mult knobs):
-  /// with probability `prob`, an arrival is a burst starting `mult` sessions
-  /// at the same instant instead of one.
-  double heavy_tail_prob = 0;
-  double heavy_tail_mult = 1;
-
-  // ---- session shape -------------------------------------------------------
-  /// Distinct mobility itineraries generated up front; every session re-stamps
-  /// one of them (routing is paid per template, not per session).
-  size_t session_templates = 16;
-  /// Degrade templates with the Wi-Fi error model (positioning::) so the
-  /// cleaning layer does real work during replay.
-  bool apply_noise = true;
-  /// Error-model parameters for apply_noise. The default differs from the
-  /// model's own default in one way: no long coverage gaps (a mid-session
-  /// gap longer than flush_after would age-flush a fragment, and a sub-
-  /// min_flush_records fragment would then be age-dropped — making the
-  /// zero-data-loss SLO gate depend on the noise draw instead of on the
-  /// flush logic under test).
+  /// Error-model parameters applied to every visit. The default differs from
+  /// the model's own default in one way: no long coverage gaps (a mid-visit
+  /// gap longer than flush_after would age-flush a fragment, and a fragment
+  /// under min_flush_records would then be age-dropped — making perfbench's
+  /// no-drop check depend on the noise draw instead of on the flush logic).
   positioning::ErrorModelOptions noise = DefaultNoise();
-  /// Template itinerary knobs (defaults here give short mall visits, so
-  /// flush windows and session lifetimes stay in the same order of
-  /// magnitude).
+  /// Visit itinerary knobs (defaults here give short mall visits, so flush
+  /// windows and visit lifetimes stay in the same order of magnitude).
   mobility::GeneratorOptions mobility = ShortSessionMobility();
-
-  // ---- driving the target --------------------------------------------------
   /// Cadence of Poll(now) sweeps over the target (simulated time).
   DurationMs poll_interval = 15 * kMillisPerSecond;
-  /// Cadence of SLO-logger queue-depth samples (simulated time).
-  DurationMs sample_interval = kMillisPerMinute;
-  /// Flush policy of the target's stream sessions. The harness injects its
-  /// simulated clock into this struct's trace_clock for unpaced runs.
+  /// Flush policy of the target's stream sessions.
   core::StreamOptions stream = ShortSessionStream();
-  /// > 0: pace the replay against the wall clock at this offered record rate
-  /// (open loop — records arrive on schedule whether or not the target keeps
-  /// up) and measure ingest-to-result latency on the wall clock. 0: replay
-  /// unpaced, as fast as the dispatcher can go, measuring latency on the
-  /// simulated clock (fully deterministic).
-  double target_records_per_sec = 0;
 
-  SloThresholds slo = DefaultSlo();
-
-  /// The mobility/stream/noise/SLO defaults above, exposed for composition.
+  /// The mobility/stream/noise defaults above, exposed for composition.
   static mobility::GeneratorOptions ShortSessionMobility();
   static core::StreamOptions ShortSessionStream();
   static positioning::ErrorModelOptions DefaultNoise();
-  static SloThresholds DefaultSlo();
 };
 
-/// Homogeneous Poisson arrivals at a steady rate — the baseline curve point.
+/// Homogeneous Poisson arrivals at a steady rate.
 ScenarioConfig SteadyScenario();
-/// Arrival rate sweeps through a full diurnal wave (trough -> peak -> trough)
-/// compressed into the window — the ramp scenario.
-ScenarioConfig DiurnalRampScenario();
-/// Steady base load plus heavy-tail bursts: a few percent of arrivals start
-/// tens of sessions at once (stadium letting out).
-ScenarioConfig HeavyTailBurstScenario();
-
-/// All named scenarios, in gate order.
-std::vector<std::string> ScenarioNames();
-/// Looks a named scenario up ("steady", "diurnal", "burst"); NotFound
-/// otherwise.
-Result<ScenarioConfig> ScenarioByName(const std::string& name);
-
-/// The scenario's parameters as JSON (echoed into SLO reports so a report is
-/// self-describing).
-json::Value ScenarioJson(const ScenarioConfig& config);
 
 }  // namespace trips::loadgen

@@ -247,27 +247,4 @@ Result<std::vector<GeneratedDevice>> MobilityGenerator::GenerateFleet(
   return fleet;
 }
 
-Result<std::vector<SessionTemplate>> MobilityGenerator::GenerateSessionTemplates(
-    int count, Rng* rng) const {
-  if (count <= 0) return Status::InvalidArgument("template count must be positive");
-  std::vector<SessionTemplate> templates;
-  templates.reserve(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    TRIPS_ASSIGN_OR_RETURN(
-        GeneratedDevice dev,
-        GenerateDevice("tpl-" + std::to_string(i), /*start_time=*/0, rng));
-    SessionTemplate tpl;
-    tpl.records = std::move(dev.truth.records);
-    if (!tpl.records.empty()) {
-      // Re-base to t = 0 (GenerateDevice already starts at start_time, but
-      // the contract here is "first record at exactly 0").
-      const TimestampMs base = tpl.records.front().timestamp;
-      for (positioning::RawRecord& r : tpl.records) r.timestamp -= base;
-      tpl.duration = tpl.records.back().timestamp;
-    }
-    templates.push_back(std::move(tpl));
-  }
-  return templates;
-}
-
 }  // namespace trips::mobility

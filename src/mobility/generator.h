@@ -63,18 +63,6 @@ struct GeneratedDevice {
   core::MobilitySemanticsSequence semantics;
 };
 
-/// A reusable session blueprint for load generation: one agent's noiseless
-/// positioning samples re-based to start at t = 0. The event-driven load
-/// generator (loadgen::) stamps thousands-to-millions of simulated device
-/// sessions from a small pool of templates — the routing work behind an
-/// itinerary is paid once per template, not once per simulated session.
-struct SessionTemplate {
-  /// Samples with timestamps relative to the session start (first at 0).
-  std::vector<positioning::RawRecord> records;
-  /// Timestamp of the last record — the session's active duration.
-  DurationMs duration = 0;
-};
-
 /// Generates agent trajectories over a DSM.
 class MobilityGenerator {
  public:
@@ -92,11 +80,6 @@ class MobilityGenerator {
                                                      const TimeRange& window,
                                                      Rng* rng,
                                                      const std::string& prefix = "dev-") const;
-
-  /// Generates `count` session templates (distinct itineraries, t = 0 based)
-  /// for the load generator to re-stamp. Deterministic for a given rng state.
-  Result<std::vector<SessionTemplate>> GenerateSessionTemplates(int count,
-                                                                Rng* rng) const;
 
  private:
   // Samples a uniformly random point inside a region's shape (rejection).

@@ -241,13 +241,10 @@ class StageTimer {
 /// the system, so a flushed translation result can report its true
 /// ingest-to-emit latency (arrival of the OLDEST raw record -> result
 /// delivery — the worst-case, SLO-relevant latency of the flush). A zero
-/// stamp means "not traced" (batch requests, metrics off). The stamp is read
-/// from the session's trace clock: obs::NowNanos() on a live feed, or the
-/// harness-injected clock (core::StreamOptions::trace_clock) when a load
-/// generator replays a simulated schedule — either way the delivery reading
-/// uses the same clock, so stamp minus reading is always one time base.
+/// stamp means "not traced" (batch requests, metrics off). Both the stamp and
+/// the delivery reading come from obs::NowNanos().
 struct TraceContext {
-  uint64_t ingest_steady_ns = 0;  ///< trace-clock ns at first ingest
+  uint64_t ingest_steady_ns = 0;  ///< obs::NowNanos() at first ingest
 
   bool active() const { return ingest_steady_ns != 0; }
 };
@@ -261,9 +258,9 @@ struct MetricsSnapshot {
 
   /// Point lookups by metric name (binary search — each vector is kept in
   /// ascending name order). Consumers that read a snapshot programmatically
-  /// (the load/SLO harness pulling drop counters and queue-depth gauges) use
-  /// these instead of re-implementing the scan. The *_or forms return the
-  /// fallback when the metric never recorded.
+  /// (tests and perfbench pulling drop counters and gauges) use these instead
+  /// of re-implementing the scan. The *_or forms return the fallback when the
+  /// metric never recorded.
   const uint64_t* counter(const std::string& name) const;
   const int64_t* gauge(const std::string& name) const;
   const HistogramSummary* histogram(const std::string& name) const;

@@ -12,8 +12,10 @@
 #include "core/result_io.h"
 #include "core/service.h"
 #include "dsm/sample_spaces.h"
+#include "loadgen/scenario.h"
 #include "mobility/generator.h"
 #include "positioning/error_model.h"
+#include "testing/replay.h"
 
 namespace trips::cluster {
 namespace {
@@ -146,6 +148,35 @@ class ClusterFixture : public ::testing::Test {
       dumps[venue.id] = DumpResults(*results);
     }
     return dumps;
+  }
+
+  // The replay of testing/replay.h over the city: visit i goes to venue
+  // i % 4, with the steady scenario's short itineraries and noise.
+  struct CityReplay {
+    std::vector<positioning::PositioningSequence> visits;
+    std::vector<const TestVenue*> venue;  // per visit
+  };
+  CityReplay ReplayVisits(uint64_t seed) const {
+    const loadgen::ScenarioConfig steady = loadgen::SteadyScenario();
+    Rng rng(seed);
+    CityReplay replay;
+    for (TimestampMs start : core::testing::ReplayStarts(kMillisPerHour)) {
+      const TestVenue& venue = venues_[replay.visits.size() % venues_.size()];
+      mobility::GeneratorOptions options = steady.mobility;
+      options.target_categories = venue.gen.target_categories;
+      options.wander_categories = venue.gen.wander_categories;
+      mobility::MobilityGenerator generator(venue.dsm.get(), venue.planner.get(),
+                                            options);
+      auto dev = generator.GenerateDevice(
+          venue.id + "-visit-" + std::to_string(replay.visits.size()), start, &rng);
+      EXPECT_TRUE(dev.ok()) << dev.status().ToString();
+      if (!dev.ok()) break;
+      positioning::ErrorModelOptions noise = steady.noise;
+      noise.floor_count = static_cast<int>(venue.dsm->FloorCount());
+      replay.visits.push_back(positioning::ApplyErrorModel(dev->truth, noise, &rng));
+      replay.venue.push_back(&venue);
+    }
+    return replay;
   }
 
   std::vector<TestVenue> venues_;
@@ -378,6 +409,80 @@ TEST_F(ClusterFixture, PersistAllWritesEveryVenueDirectory) {
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     EXPECT_EQ((*reopened)->Stats().sequences, stats.sequences) << venue.id;
   }
+}
+
+// The steady scenario's traffic shape across the city: the same per-venue
+// output at 0 and 4 workers, no buffer dropped, every delivered result
+// stored, nothing left pending.
+TEST_F(ClusterFixture, ReplayIsDeterministicAcrossWorkerCounts) {
+  const CityReplay replay = ReplayVisits(257);
+  ASSERT_EQ(replay.visits.size(), 24u);
+  const loadgen::ScenarioConfig steady = loadgen::SteadyScenario();
+  std::vector<std::map<std::string, Dump>> runs;
+  for (size_t workers : {0u, 4u}) {
+    ClusterOptions options;
+    options.worker_threads = workers;
+    Cluster city(options);
+    AddAll(&city, steady.stream);
+    std::mutex mu;
+    std::map<std::string, std::vector<core::TranslationResult>> delivered;
+    city.SetSink([&](const std::string& venue_id, core::TranslationResult r) {
+      std::lock_guard<std::mutex> lock(mu);
+      delivered[venue_id].push_back(std::move(r));
+    });
+    core::testing::DriveReplay(
+        core::testing::MergeByTime(replay.visits), steady.poll_interval,
+        [&](const core::testing::ReplayRecord& r) {
+          EXPECT_TRUE(city.Ingest(replay.venue[r.visit]->id,
+                                  replay.visits[r.visit].device_id, r.record)
+                          .ok());
+        },
+        [&](TimestampMs now) { EXPECT_TRUE(city.Poll(now).ok()); });
+    ASSERT_TRUE(city.FlushAll().ok());
+
+    size_t results = 0;
+    std::map<std::string, Dump> dumps;
+    for (const auto& [venue_id, venue_results] : delivered) {
+      results += venue_results.size();
+      dumps[venue_id] = DumpResults(venue_results);
+    }
+    EXPECT_EQ(results, replay.visits.size()) << workers;
+    EXPECT_EQ(city.Stats().stored_sequences, results) << workers;
+    EXPECT_EQ(city.stats_registry()->Snap().counter_or("stream.dropped_small_buffers"),
+              0u)
+        << workers;
+    EXPECT_EQ(city.PendingRecords(), 0u) << workers;
+    runs.push_back(std::move(dumps));
+  }
+  EXPECT_EQ(runs[0], runs[1]);
+}
+
+// A record without a device id is rejected at each front door, counted under
+// stream.rejected_records, and never reaches a venue store.
+TEST_F(ClusterFixture, EmptyDeviceIdIsRejectedAndCounted) {
+  ClusterOptions options;
+  options.worker_threads = 0;
+  Cluster city(options);
+  AddAll(&city);
+  const positioning::PositioningSequence& seq = venues_[0].fleet[0];
+  for (const auto& record : seq.records) {
+    EXPECT_EQ(city.Ingest("a-mall", "", record).code(), StatusCode::kInvalidArgument);
+  }
+  // The batch path propagates the rejection; records before it are kept.
+  const std::vector<ClusterRecord> batch = {{"a-mall", "x", seq.records[0]},
+                                            {"a-mall", "", seq.records[1]}};
+  EXPECT_EQ(city.IngestBatch(batch).status().code(), StatusCode::kInvalidArgument);
+  // The sink has no return path: its drop is only counted.
+  city.MakeSink()({"c-hub", "", seq.records[0]});
+  ASSERT_TRUE(city.FlushAll().ok());
+
+  EXPECT_EQ(city.stats_registry()->Snap().counter_or("stream.rejected_records"),
+            seq.records.size() + 2);
+  const ClusterStats stats = city.Stats();
+  EXPECT_EQ(stats.ingested, 1u);
+  EXPECT_EQ(stats.stored_sequences, 1u);
+  EXPECT_EQ(city.venue_store("a-mall")->Devices(), std::vector<std::string>{"x"});
+  EXPECT_TRUE(city.venue_store("c-hub")->Devices().empty());
 }
 
 }  // namespace

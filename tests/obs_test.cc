@@ -342,6 +342,7 @@ TEST_F(ObsServiceFixture, StreamSessionRecordsIngestToResultLatency) {
   auto results = stream->FlushAll();
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), fleet.size());
+  for (const core::TranslationResult& r : *results) EXPECT_TRUE(r.trace.active());
 
   MetricsSnapshot snap = service.stats_registry()->Snap();
   std::map<std::string, uint64_t> counters(snap.counters.begin(),

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -8,9 +9,11 @@
 #include "core/result_io.h"
 #include "core/service.h"
 #include "dsm/sample_spaces.h"
+#include "loadgen/scenario.h"
 #include "mobility/generator.h"
 #include "positioning/error_model.h"
 #include "testing/reference_translator.h"
+#include "testing/replay.h"
 
 namespace trips::core {
 namespace {
@@ -60,6 +63,59 @@ class ServiceFixture : public ::testing::Test {
       fleet.push_back(positioning::ApplyErrorModel(dev->truth, noise, &rng));
     }
     return fleet;
+  }
+
+  // The replay's visits (testing/replay.h): one per ReplayStarts() start, with
+  // the steady scenario's short itineraries and noise.
+  std::vector<positioning::PositioningSequence> ReplayVisits(uint64_t seed) {
+    const loadgen::ScenarioConfig steady = loadgen::SteadyScenario();
+    mobility::MobilityGenerator generator(mall_.get(), planner_.get(),
+                                          steady.mobility);
+    Rng rng(seed);
+    std::vector<positioning::PositioningSequence> visits;
+    for (TimestampMs start : testing::ReplayStarts(kMillisPerHour)) {
+      char id[16];
+      std::snprintf(id, sizeof id, "visit-%02zu", visits.size());
+      auto dev = generator.GenerateDevice(id, start, &rng);
+      EXPECT_TRUE(dev.ok()) << dev.status().ToString();
+      if (!dev.ok()) break;
+      visits.push_back(positioning::ApplyErrorModel(dev->truth, steady.noise, &rng));
+    }
+    return visits;
+  }
+
+  // What one replay through a stream session produced.
+  struct ReplayRun {
+    std::vector<TranslationResult> results;  // from Ingest, Poll and FlushAll
+    size_t from_ingest = 0;                  // results an Ingest returned
+    size_t pending = 0;                      // PendingRecords() after FlushAll
+    obs::MetricsSnapshot stats;
+  };
+
+  // Replays `visits` into a stream session of a fresh `workers`-thread
+  // Service, polling at the steady scenario's cadence, then drains.
+  ReplayRun RunReplay(const std::vector<positioning::PositioningSequence>& visits,
+                      const StreamOptions& stream, size_t workers) {
+    Service service(engine_, Workers(workers));
+    auto session = service.NewStreamSession(stream);
+    ReplayRun run;
+    auto keep = [&run](Result<std::vector<TranslationResult>> flushed) {
+      EXPECT_TRUE(flushed.ok()) << flushed.status().ToString();
+      if (!flushed.ok()) return size_t{0};
+      std::vector<TranslationResult> results = std::move(flushed).ValueOrDie();
+      for (TranslationResult& r : results) run.results.push_back(std::move(r));
+      return results.size();
+    };
+    testing::DriveReplay(
+        testing::MergeByTime(visits), loadgen::SteadyScenario().poll_interval,
+        [&](const testing::ReplayRecord& r) {
+          run.from_ingest += keep(session->Ingest(visits[r.visit].device_id, r.record));
+        },
+        [&](TimestampMs now) { keep(session->Poll(now)); });
+    keep(session->FlushAll());
+    run.pending = session->PendingRecords();
+    run.stats = service.stats_registry()->Snap();
+    return run;
   }
 
   std::unique_ptr<dsm::Dsm> mall_;
@@ -309,44 +365,6 @@ TEST_F(ServiceFixture, FlushAllTranslatesTrailingShortSequences) {
   EXPECT_EQ(poll_stream->PendingRecords(), 0u);  // dropped, not retained
 }
 
-// StreamOptions::trace_clock replaces the steady clock behind the
-// stream.ingest_to_result_ns stamps: with a fake clock installed, the
-// recorded latency is exactly the fake elapsed time, and translation output
-// is unchanged.
-TEST_F(ServiceFixture, TraceClockInjectionDrivesLatencyStamps) {
-  std::vector<positioning::PositioningSequence> fleet = MakeFleet(1, 191);
-  Service service(engine_, {});
-
-  uint64_t fake_now = 5'000'000;  // nonzero: zero means "not traced"
-  StreamOptions opt;
-  opt.trace_clock = [&fake_now] { return fake_now; };
-  auto stream = service.NewStreamSession(opt);
-  for (const auto& record : fleet[0].records) {
-    ASSERT_TRUE(stream->Ingest(fleet[0].device_id, record).ok());
-  }
-  fake_now += 42'000'000;  // 42ms on the fake timeline
-  auto flushed = stream->FlushAll();
-  ASSERT_TRUE(flushed.ok());
-  ASSERT_EQ(flushed->size(), 1u);
-  EXPECT_EQ((*flushed)[0].trace.ingest_steady_ns, 5'000'000u);
-
-  const obs::MetricsSnapshot snap = service.stats_registry()->Snap();
-  const obs::HistogramSummary* latency =
-      snap.histogram("stream.ingest_to_result_ns");
-  ASSERT_NE(latency, nullptr);
-  ASSERT_EQ(latency->count, 1u);
-  EXPECT_EQ(latency->sum, 42'000'000u);  // exactly the fake elapsed time
-
-  // Same feed through a default-clock session: identical translation bytes.
-  auto wall_stream = service.NewStreamSession();
-  for (const auto& record : fleet[0].records) {
-    ASSERT_TRUE(wall_stream->Ingest(fleet[0].device_id, record).ok());
-  }
-  auto wall = wall_stream->FlushAll();
-  ASSERT_TRUE(wall.ok());
-  EXPECT_EQ(DumpByDevice(*wall), DumpByDevice(*flushed));
-}
-
 // A Poll at the newest record's timestamp never flushes the device that sent
 // it; once the device has been quiet past flush_after, Poll emits it.
 TEST_F(ServiceFixture, StreamPollAtNewestRecordNeverFlushesActiveDevice) {
@@ -412,6 +430,87 @@ TEST_F(ServiceFixture, StreamIdleDeviceFlushesWhileAnotherStreams) {
   ASSERT_EQ(rest->size(), 1u);
   EXPECT_EQ((*rest)[0].semantics.device_id, live.device_id);
   EXPECT_EQ(stream->PendingRecords(), 0u);
+}
+
+// The steady scenario's flush policy over overlapping, bursty arrivals loses
+// nothing: every ingested record reaches a translated buffer, no buffer is
+// dropped, nothing stays pending, and the output is the same at any worker
+// count.
+TEST_F(ServiceFixture, StreamReplayLosesNothingAtAnyWorkerCount) {
+  const std::vector<positioning::PositioningSequence> visits = ReplayVisits(241);
+  ASSERT_EQ(visits.size(), 24u);
+  const StreamOptions stream = loadgen::SteadyScenario().stream;
+  std::vector<std::vector<std::pair<std::string, std::string>>> dumps;
+  for (size_t workers : {0u, 1u, 4u}) {
+    const ReplayRun run = RunReplay(visits, stream, workers);
+    const uint64_t ingested = run.stats.counter_or("stream.records_ingested");
+    EXPECT_GT(ingested, 0u) << workers;
+    EXPECT_EQ(ingested, run.stats.counter_or("stream.flush_records")) << workers;
+    EXPECT_EQ(run.stats.counter_or("stream.dropped_small_buffers"), 0u) << workers;
+    EXPECT_EQ(run.pending, 0u) << workers;
+    EXPECT_EQ(run.results.size(), visits.size()) << workers;
+    dumps.push_back(DumpByDevice(run.results));
+  }
+  EXPECT_EQ(dumps[0], dumps[1]);
+  EXPECT_EQ(dumps[0], dumps[2]);
+}
+
+// A buffer cap small enough that visits flush inline from Ingest, mixed with
+// Poll flushes: the output is the same at any worker count, and every record
+// not translated sits in a buffer counted as dropped.
+TEST_F(ServiceFixture, StreamReplayCapFlushesAccountForEveryRecord) {
+  const std::vector<positioning::PositioningSequence> visits = ReplayVisits(251);
+  StreamOptions stream = loadgen::SteadyScenario().stream;
+  stream.max_buffer_records = 32;
+  std::vector<std::vector<std::pair<std::string, std::string>>> dumps;
+  for (size_t workers : {0u, 1u, 4u}) {
+    const ReplayRun run = RunReplay(visits, stream, workers);
+    EXPECT_GT(run.from_ingest, 0u) << workers;
+    const uint64_t ingested = run.stats.counter_or("stream.records_ingested");
+    const uint64_t flushed = run.stats.counter_or("stream.flush_records");
+    const uint64_t dropped = run.stats.counter_or("stream.dropped_small_buffers");
+    ASSERT_GE(ingested, flushed) << workers;
+    EXPECT_LE(ingested - flushed, dropped * (stream.min_flush_records - 1)) << workers;
+    EXPECT_EQ(run.pending, 0u) << workers;
+    dumps.push_back(DumpByDevice(run.results));
+  }
+  EXPECT_EQ(dumps[0], dumps[1]);
+  EXPECT_EQ(dumps[0], dumps[2]);
+}
+
+// The zero-loss checks above catch a lossy stream: with min_flush_records
+// above every visit's length, each Poll flush drops its buffer.
+TEST_F(ServiceFixture, StreamReplayLossIsCaught) {
+  const std::vector<positioning::PositioningSequence> visits = ReplayVisits(241);
+  StreamOptions stream = loadgen::SteadyScenario().stream;
+  stream.min_flush_records = 10'000;
+  for (const auto& visit : visits) ASSERT_LT(visit.records.size(), 10'000u);
+  const ReplayRun run = RunReplay(visits, stream, 0);
+  EXPECT_GT(run.stats.counter_or("stream.dropped_small_buffers"), 0u);
+  EXPECT_GT(run.stats.counter_or("stream.records_ingested"),
+            run.stats.counter_or("stream.flush_records"));
+}
+
+// A record without a device id is rejected at the front door and counted,
+// and the session buffers nothing for it.
+TEST_F(ServiceFixture, StreamRejectsEmptyDeviceId) {
+  const positioning::PositioningSequence seq = MakeFleet(1, 193)[0];
+  Service service(engine_, {});
+  auto stream = service.NewStreamSession();
+  for (const auto& record : seq.records) {
+    EXPECT_EQ(stream->Ingest("", record).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  ASSERT_TRUE(stream->Ingest(seq.device_id, seq.records[0]).ok());
+  EXPECT_EQ(stream->PendingRecords(), 1u);
+
+  const obs::MetricsSnapshot snap = service.stats_registry()->Snap();
+  EXPECT_EQ(snap.counter_or("stream.rejected_records"), seq.records.size());
+  EXPECT_EQ(snap.counter_or("stream.records_ingested"), 1u);
+  auto flushed = stream->FlushAll();
+  ASSERT_TRUE(flushed.ok());
+  ASSERT_EQ(flushed->size(), 1u);
+  EXPECT_EQ((*flushed)[0].semantics.device_id, seq.device_id);
 }
 
 }  // namespace
