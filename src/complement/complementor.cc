@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <functional>
 #include <map>
 #include <queue>
 
@@ -21,8 +21,10 @@ std::vector<dsm::RegionId> Complementor::InferPath(dsm::RegionId from,
 
   // MAP path = min-cost path under -log transition probabilities, bounded by
   // max_inferred_steps intermediate hops. Layered Dijkstra over (region, hops).
+  // Every weight -log p is >= 0, so pops come in non-decreasing cost: the
+  // first settled goal state is a cheapest one (a later goal never costs
+  // strictly less) and the prev chain behind it is final — stop there.
   const int max_hops = options_.max_inferred_steps + 1;  // edges allowed
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   // cost[(region, hops-used)]
   std::map<std::pair<dsm::RegionId, int>, double> cost;
   std::map<std::pair<dsm::RegionId, int>, std::pair<dsm::RegionId, int>> prev;
@@ -32,7 +34,6 @@ std::vector<dsm::RegionId> Complementor::InferPath(dsm::RegionId from,
   queue.push({0, {from, 0}});
 
   std::pair<dsm::RegionId, int> goal{dsm::kInvalidRegion, -1};
-  double goal_cost = kInf;
 
   while (!queue.empty()) {
     auto [c, state] = queue.top();
@@ -41,11 +42,8 @@ std::vector<dsm::RegionId> Complementor::InferPath(dsm::RegionId from,
     if (it == cost.end() || c > it->second) continue;
     auto [region, hops] = state;
     if (region == to) {
-      if (c < goal_cost) {
-        goal_cost = c;
-        goal = state;
-      }
-      continue;
+      goal = state;
+      break;
     }
     if (hops >= max_hops) continue;
     auto row = knowledge_->transition_prob.find(region);

@@ -47,7 +47,10 @@ class Complementor {
 
   /// MAP-most-likely region path from `from` to `to` (exclusive of both
   /// endpoints), at most max_inferred_steps long; empty when no path exists
-  /// within the limit or the endpoints coincide.
+  /// within the limit or the endpoints coincide. The layered Dijkstra stops
+  /// at its first settled goal state: with weights -log p >= 0 no later goal
+  /// is cheaper, so the path is the full search's (the oracle is
+  /// tests/testing/reference_complementor.h).
   std::vector<dsm::RegionId> InferPath(dsm::RegionId from, dsm::RegionId to) const;
 
  private:

@@ -267,7 +267,9 @@ Result<std::vector<TranslationResult>> StreamSession::Ingest(
     TrackBuffered(shard, 1);
     if (record.timestamp > buffer.newest) buffer.newest = record.timestamp;
     if (buffer.block.Size() >= options_.max_buffer_records) {
-      PopBufferLocked(shard, buffer, options_.min_flush_records, &popped);
+      // A capped buffer is a device still present, never stray fixes:
+      // min_flush_records rules age-based flushes only.
+      PopBufferLocked(shard, buffer, 1, &popped);
       shard.buffers.erase(device);
     }
   }

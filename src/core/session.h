@@ -101,7 +101,9 @@ struct StreamOptions {
   size_t max_buffer_records = 20'000;
   /// Buffers smaller than this are dropped, not translated, when an age-based
   /// flush pops them (Poll deciding a device has departed — a couple of stray
-  /// fixes carry no semantics). FlushAll translates every remainder regardless.
+  /// fixes carry no semantics). It applies to age-based flushes only: a buffer
+  /// that reaches max_buffer_records, and every remainder FlushAll pops, is
+  /// translated regardless.
   size_t min_flush_records = 4;
   /// Device-hash sub-maps the ingest buffers are split into, each with its
   /// own mutex, so concurrent ingest threads touching different devices never

@@ -98,7 +98,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (size_t i = 0; i < helpers; ++i) {
-      queue_.push_back(Task{drain, enqueue_ns});
+      queue_.push_back(Task{drain, enqueue_ns, state.get()});
     }
     // Inside the lock so the gauge can never go transiently negative (a
     // worker cannot dequeue-and-Sub before this Add).
@@ -109,6 +109,16 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   for (size_t i = 0; i < helpers; ++i) work_cv_.notify_one();
 
   drain();
+  // Every item is claimed: a helper still queued would wake a worker for
+  // nothing, so take it back.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const size_t queued = queue_.size();
+    std::erase_if(queue_, [&](const Task& task) { return task.owner == state.get(); });
+    if (metrics_.queue_depth != nullptr) {
+      metrics_.queue_depth->Sub(static_cast<int64_t>(queued - queue_.size()));
+    }
+  }
   std::unique_lock<std::mutex> lock(state->mu);
   state->done_cv.wait(lock, [&] { return state->done.load() == n; });
 }

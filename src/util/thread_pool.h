@@ -58,7 +58,9 @@ class ThreadPool {
 
   /// Runs fn(i) once for every i in [0, n), spread over the pool workers and
   /// the calling thread, and returns when all n calls finished. `fn` must be
-  /// safe to invoke concurrently with distinct arguments.
+  /// safe to invoke concurrently with distinct arguments. Helper tasks that
+  /// no worker started before the caller claimed the last item are taken
+  /// back out of the queue, so none outlives the call.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Enqueues one fire-and-forget task for a pool worker (background
@@ -71,10 +73,12 @@ class ThreadPool {
 
  private:
   /// One queued helper task plus its enqueue stamp (0 when wait timing is
-  /// off, so the fast path never reads the clock).
+  /// off, so the fast path never reads the clock) and the ParallelFor call
+  /// that posted it (null for Submit tasks).
   struct Task {
     std::function<void()> fn;
     uint64_t enqueue_ns = 0;
+    const void* owner = nullptr;
   };
 
   void WorkerLoop();

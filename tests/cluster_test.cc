@@ -457,6 +457,41 @@ TEST_F(ClusterFixture, ReplayIsDeterministicAcrossWorkerCounts) {
   EXPECT_EQ(runs[0], runs[1]);
 }
 
+// The cap flush of a one-venue cluster ignores min_flush_records, as the
+// session's does: one long visit is delivered from Ingest and FlushAll with
+// no record lost and no buffer dropped.
+TEST_F(ClusterFixture, CapFlushIgnoresMinFlushRecords) {
+  const TestVenue& venue = venues_[0];
+  const positioning::PositioningSequence& visit = venue.fleet[0];
+  core::StreamOptions stream;
+  stream.max_buffer_records = 32;
+  stream.min_flush_records = 10'000;
+  ASSERT_GT(visit.records.size(), 4 * stream.max_buffer_records);
+  ClusterOptions options;
+  options.worker_threads = 0;
+  Cluster city(options);
+  VenueConfig config;
+  config.venue_id = venue.id;
+  config.engine = venue.engine;
+  config.stream = stream;
+  ASSERT_TRUE(city.AddVenue(std::move(config)).ok());
+  size_t delivered = 0;
+  city.SetSink([&](const std::string&, core::TranslationResult) { ++delivered; });
+  for (const auto& record : visit.records) {
+    ASSERT_TRUE(city.Ingest(venue.id, visit.device_id, record).ok());
+  }
+  const size_t from_ingest = delivered;
+  ASSERT_TRUE(city.FlushAll().ok());
+
+  const obs::MetricsSnapshot snap = city.stats_registry()->Snap();
+  EXPECT_GT(from_ingest, 0u);
+  EXPECT_EQ(snap.counter_or("stream.flush_records"),
+            snap.counter_or("stream.records_ingested"));
+  EXPECT_EQ(snap.counter_or("stream.records_ingested"), visit.records.size());
+  EXPECT_EQ(snap.counter_or("stream.dropped_small_buffers"), 0u);
+  EXPECT_EQ(city.Stats().stored_sequences, delivered);
+}
+
 // A record without a device id is rejected at each front door, counted under
 // stream.rejected_records, and never reaches a venue store.
 TEST_F(ClusterFixture, EmptyDeviceIdIsRejectedAndCounted) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "complement/complementor.h"
 #include "complement/knowledge.h"
 #include "dsm/sample_spaces.h"
+#include "testing/reference_complementor.h"
+#include "util/rng.h"
 
 namespace trips::complement {
 namespace {
@@ -136,6 +140,48 @@ TEST_F(ComplementFixture, InferPathRespectsHopLimit) {
   wide.max_inferred_steps = 5;
   Complementor loose(dsm_.get(), &k, wide);
   EXPECT_EQ(loose.InferPath(0, 4).size(), 3u);
+}
+
+// Stopping at the first settled goal state returns the full search's path on
+// random knowledge tables: missing rows, zero probabilities, and (in every
+// other table) equal probabilities, which make cost ties the common case.
+TEST_F(ComplementFixture, InferPathMatchesFullSearchOnRandomKnowledge) {
+  Rng rng(1'717);
+  size_t paths = 0;
+  for (int table = 0; table < 200; ++table) {
+    const int regions = static_cast<int>(rng.UniformInt(2, 30));
+    const bool equal = table % 2 == 0;
+    const double shared_p = std::array<double, 3>{1.0, 0.5, 0.2}[rng.UniformInt(0, 2)];
+    MobilityKnowledge k;
+    for (dsm::RegionId a = 0; a < regions; ++a) {
+      if (rng.Chance(0.15)) continue;  // no outgoing transitions learned
+      const int64_t degree = rng.UniformInt(1, 6);
+      for (int64_t d = 0; d < degree; ++d) {
+        const auto b = static_cast<dsm::RegionId>(rng.UniformInt(0, regions - 1));
+        k.transition_prob[a][b] =
+            rng.Chance(0.1) ? 0.0 : (equal ? shared_p : rng.Uniform(0, 1));
+      }
+    }
+    for (int steps = 0; steps <= 6; ++steps) {
+      ComplementorOptions opt;
+      opt.max_inferred_steps = steps;
+      Complementor complementor(dsm_.get(), &k, opt);
+      for (int q = 0; q < 30; ++q) {
+        // -1 is the invalid region; equal endpoints come up often enough.
+        const auto from = static_cast<dsm::RegionId>(rng.UniformInt(-1, regions - 1));
+        const auto to = q % 10 == 0
+                            ? from
+                            : static_cast<dsm::RegionId>(rng.UniformInt(-1, regions - 1));
+        const std::vector<dsm::RegionId> expected =
+            testing::ReferenceInferPath(k, opt, from, to);
+        ASSERT_EQ(complementor.InferPath(from, to), expected)
+            << "table " << table << " steps " << steps << " " << from << "->" << to;
+        paths += !expected.empty();
+      }
+    }
+  }
+  // The tables produce real multi-region paths, not just empty answers.
+  EXPECT_GT(paths, 2'000u);
 }
 
 TEST_F(ComplementFixture, ComplementFillsQualifyingGap) {

@@ -491,6 +491,33 @@ TEST_F(ServiceFixture, StreamReplayLossIsCaught) {
             run.stats.counter_or("stream.flush_records"));
 }
 
+// min_flush_records rules age-based flushes only: a buffer that reaches the
+// cap is translated however large min_flush_records is, so one long visit
+// loses no record between its cap flushes and the final FlushAll.
+TEST_F(ServiceFixture, StreamCapFlushIgnoresMinFlushRecords) {
+  const positioning::PositioningSequence visit = MakeFleet(1, 271)[0];
+  StreamOptions options;
+  options.max_buffer_records = 32;
+  options.min_flush_records = 10'000;
+  ASSERT_GT(visit.records.size(), 4 * options.max_buffer_records);
+  Service service(engine_, {});
+  auto stream = service.NewStreamSession(options);
+  size_t from_ingest = 0;
+  for (const auto& record : visit.records) {
+    auto flushed = stream->Ingest(visit.device_id, record);
+    ASSERT_TRUE(flushed.ok());
+    from_ingest += flushed->size();
+  }
+  ASSERT_TRUE(stream->FlushAll().ok());
+
+  const obs::MetricsSnapshot snap = service.stats_registry()->Snap();
+  EXPECT_GT(from_ingest, 0u);
+  EXPECT_EQ(snap.counter_or("stream.flush_records"),
+            snap.counter_or("stream.records_ingested"));
+  EXPECT_EQ(snap.counter_or("stream.records_ingested"), visit.records.size());
+  EXPECT_EQ(snap.counter_or("stream.dropped_small_buffers"), 0u);
+}
+
 // A record without a device id is rejected at the front door and counted,
 // and the session buffers nothing for it.
 TEST_F(ServiceFixture, StreamRejectsEmptyDeviceId) {

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
+
+#include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/time_util.h"
 
 namespace trips {
@@ -263,6 +270,40 @@ TEST(LoggingTest, LevelGate) {
   EXPECT_EQ(GetLogLevel(), LogLevel::kError);
   TRIPS_LOG(Info) << "suppressed";  // must not crash
   SetLogLevel(LogLevel::kWarn);
+}
+
+// ---------- ThreadPool ----------
+
+// With every worker busy, the caller of ParallelFor runs all the items
+// itself; the helper tasks it posted never start and are taken back out of
+// the queue before the call returns.
+TEST(ThreadPoolTest, ParallelForLeavesNoHelperQueued) {
+  // Declared before the pool, so its workers are joined before these go.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> blocked{0};
+  obs::Gauge queue_depth;
+  util::ThreadPool pool(2);
+  pool.SetMetrics({.queue_depth = &queue_depth});
+  for (int w = 0; w < 2; ++w) {
+    pool.Submit([&] {
+      ++blocked;
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return release; });
+    });
+  }
+  while (blocked.load() < 2) std::this_thread::yield();
+
+  std::atomic<int> items{0};
+  pool.ParallelFor(8, [&](size_t) { ++items; });
+  EXPECT_EQ(items.load(), 8);
+  EXPECT_EQ(queue_depth.Value(), 0);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
 }
 
 }  // namespace
