@@ -133,6 +133,60 @@ BENCHMARK(BM_ClusterIngest)
     ->Args({8, 1})
     ->Unit(benchmark::kMillisecond);
 
+// The front door alone: one thread ingests 1,200 devices spread over four
+// venues, their records interleaved round-robin as a live city feed arrives.
+// Nothing is released (no Poll, and the cap is never reached), so the timed
+// loop is venue routing plus device buffering. Reports ns/record; the cluster
+// is built and torn down outside the timed region.
+void BM_ClusterIngestInterleaved(benchmark::State& state) {
+  constexpr size_t kVenues = 4;
+  constexpr size_t kFeedDevices = 1200;
+  constexpr size_t kRecordsPerDevice = 16;
+  static MallContext ctx = MallContext::Make(2, 2);
+  static std::shared_ptr<const core::Engine> engine = SharedEngine(ctx);
+  // Round r of the feed holds record r of every device, one second apart.
+  static const std::vector<cluster::ClusterRecord> feed = [] {
+    std::vector<cluster::ClusterRecord> out;
+    out.reserve(kFeedDevices * kRecordsPerDevice);
+    for (size_t r = 0; r < kRecordsPerDevice; ++r) {
+      for (size_t d = 0; d < kFeedDevices; ++d) {
+        char device[32];
+        std::snprintf(device, sizeof(device), "venue-%zu-device-%06zu", d % kVenues, d);
+        positioning::RawRecord record(static_cast<double>(d % 97), static_cast<double>(r),
+                                      static_cast<geo::FloorId>(d % 2),
+                                      static_cast<TimestampMs>(r * kMillisPerSecond + d));
+        out.push_back({VenueId(d % kVenues), device, record});
+      }
+    }
+    return out;
+  }();
+
+  using Clock = std::chrono::steady_clock;
+  double ingest_ns = 0;
+  size_t records = 0;
+  cluster::ClusterOptions serial;
+  serial.worker_threads = 0;
+  for (auto _ : state) {
+    cluster::Cluster city(serial);
+    for (size_t v = 0; v < kVenues; ++v) {
+      cluster::VenueConfig config;
+      config.venue_id = VenueId(v);
+      config.engine = engine;
+      if (!city.AddVenue(std::move(config)).ok()) std::abort();
+    }
+    Clock::time_point start = Clock::now();
+    for (const cluster::ClusterRecord& r : feed) {
+      if (!city.Ingest(r.venue_id, r.device_id, r.record).ok()) std::abort();
+    }
+    double ns = std::chrono::duration<double, std::nano>(Clock::now() - start).count();
+    state.SetIterationTime(ns / 1e9);
+    ingest_ns += ns;
+    records += feed.size();
+  }
+  state.counters["ns/record"] = records == 0 ? 0 : ingest_ns / static_cast<double>(records);
+}
+BENCHMARK(BM_ClusterIngestInterleaved)->UseManualTime()->Unit(benchmark::kMillisecond);
+
 // Cross-venue query fan-out: city-wide analytics over a populated cluster.
 void BM_ClusterBuildAnalytics(benchmark::State& state) {
   static MallContext ctx = MallContext::Make(2, 2);

@@ -177,7 +177,9 @@ class Cluster {
   void SetSink(Sink sink);
 
   /// Flushes idle devices of every venue (shard-parallel; venues complete
-  /// independently, each venue's results in device-id order).
+  /// independently, each venue's results in device-id order). A venue's
+  /// released buffers are translated over the same pool, so threads that
+  /// finish their venue help translate the others'.
   Status Poll(TimestampMs now);
 
   /// Flushes every buffered device of every venue (end of stream). Like

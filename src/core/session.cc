@@ -148,7 +148,9 @@ size_t StreamSession::PendingDevices() const {
   size_t total = 0;
   for (const BufferShard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.buffers.size();
+    for (const auto& [device, buffer] : shard.buffers) {
+      if (!buffer.records.Empty()) ++total;  // a capped entry may sit empty
+    }
   }
   return total;
 }
@@ -158,7 +160,7 @@ size_t StreamSession::PendingRecords() const {
   for (const BufferShard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (const auto& [device, buffer] : shard.buffers) {
-      total += buffer.block.Size();
+      total += buffer.records.Size();
     }
   }
   return total;
@@ -179,20 +181,24 @@ void StreamSession::TrackBuffered(BufferShard& shard, int64_t delta) {
 void StreamSession::PopBufferLocked(BufferShard& shard, Buffer& buffer,
                                     size_t min_records,
                                     std::vector<PoppedBuffer>* out) {
-  TrackBuffered(shard, -static_cast<int64_t>(buffer.block.Size()));
-  if (buffer.block.Size() < min_records) {
+  const size_t size = buffer.records.Size();
+  TrackBuffered(shard, -static_cast<int64_t>(size));
+  if (size < min_records) {
+    // Stray fixes, no semantics to extract.
     if (stream_metrics_.dropped_small_buffers != nullptr) {
       stream_metrics_.dropped_small_buffers->Add(1);
     }
-    return;  // stray fixes, no semantics to extract
+  } else {
+    out->push_back(PoppedBuffer{std::move(buffer.records), buffer.ingest_ns});
   }
-  out->push_back(PoppedBuffer{std::move(buffer.block), buffer.ingest_ns});
+  buffer.records.records.clear();  // also makes a moved-from buffer's state explicit
+  buffer.ingest_ns = 0;
 }
 
 void StreamSession::SortPoppedByDevice(std::vector<PoppedBuffer>* popped) {
   std::sort(popped->begin(), popped->end(),
             [](const PoppedBuffer& a, const PoppedBuffer& b) {
-              return a.block.device_id < b.block.device_id;
+              return a.records.device_id < b.records.device_id;
             });
 }
 
@@ -201,29 +207,36 @@ std::vector<TranslationResult> StreamSession::TranslateAndDeliver(
   // Fast path for the overwhelmingly common no-flush case (every Ingest that
   // doesn't hit the cap, every Poll with no idle device).
   if (popped.empty()) return std::vector<TranslationResult>{};
-  // `popped` arrives in device-id order (callers re-sort after gathering from
-  // several buffer shards), so emission order is independent of the shard
-  // layout; the translation (the expensive part) runs without any lock held.
-  // The buffered columns feed straight into the engine's block pipeline.
-  std::vector<TranslationResult> out;
-  out.reserve(popped.size());
-  for (PoppedBuffer& popped_buffer : popped) {
-    positioning::RecordBlock& block = popped_buffer.block;
-    size_t flushed_records = block.Size();
-    TranslationResult result = engine_->TranslateBlock(&block, pool_, &stages_);
-    result.trace.ingest_steady_ns = popped_buffer.ingest_ns;
+  // One buffer per task, results stored by index: the output depends only on
+  // `popped`, never on which thread translated what. Each translating thread
+  // converts into its own reused block; the pool rides along so a long
+  // buffer's cleaning passes also spread over idle workers.
+  std::vector<TranslationResult> out(popped.size());
+  auto translate = [&](size_t i) {
+    static thread_local positioning::RecordBlock block;
+    block.AssignFrom(popped[i].records);
+    out[i] = engine_->TranslateBlock(&block, pool_, &stages_);
+    out[i].trace.ingest_steady_ns = popped[i].ingest_ns;
+  };
+  if (pool_ != nullptr) {
+    pool_->ParallelFor(popped.size(), translate);
+  } else {
+    for (size_t i = 0; i < popped.size(); ++i) translate(i);
+  }
+  // Flush accounting on the calling thread, before any delivery.
+  const uint64_t delivered_ns = obs::NowNanos();
+  for (const PoppedBuffer& popped_buffer : popped) {
     if (stream_metrics_.flushes != nullptr) stream_metrics_.flushes->Add(1);
     if (stream_metrics_.flush_records != nullptr) {
-      stream_metrics_.flush_records->Add(flushed_records);
+      stream_metrics_.flush_records->Add(popped_buffer.records.Size());
     }
     // True ingest-to-result latency: first raw record of the buffer arrived ->
     // its translation is about to be delivered.
     if (popped_buffer.ingest_ns != 0 &&
         stream_metrics_.ingest_to_result_ns != nullptr) {
-      stream_metrics_.ingest_to_result_ns->Record(obs::NowNanos() -
+      stream_metrics_.ingest_to_result_ns->Record(delivered_ns -
                                                   popped_buffer.ingest_ns);
     }
-    out.push_back(std::move(result));
   }
   Sink sink;
   {
@@ -251,8 +264,14 @@ Result<std::vector<TranslationResult>> StreamSession::Ingest(
     BufferShard& shard = ShardFor(device);
     std::lock_guard<std::mutex> lock(shard.mu);
     Buffer& buffer = shard.buffers[device];
-    if (buffer.block.Empty()) {
-      buffer.block.device_id = device;
+    if (buffer.records.Empty()) {
+      buffer.records.device_id = device;
+      // An entry a cap flush emptied holds the visit's tail only until the
+      // device has been idle long enough for Poll to end that visit.
+      if (buffer.capped &&
+          record.timestamp - buffer.newest >= options_.flush_after) {
+        buffer.capped = false;
+      }
       // Trace stamp: one clock read per device buffer (not per record), and
       // only while the latency histogram is live.
       if (stream_metrics_.ingest_to_result_ns != nullptr &&
@@ -260,17 +279,18 @@ Result<std::vector<TranslationResult>> StreamSession::Ingest(
         buffer.ingest_ns = obs::NowNanos();
       }
     }
-    buffer.block.Append(record);
+    buffer.records.records.push_back(record);
     if (stream_metrics_.records_ingested != nullptr) {
       stream_metrics_.records_ingested->Add(1);
     }
     TrackBuffered(shard, 1);
     if (record.timestamp > buffer.newest) buffer.newest = record.timestamp;
-    if (buffer.block.Size() >= options_.max_buffer_records) {
-      // A capped buffer is a device still present, never stray fixes:
-      // min_flush_records rules age-based flushes only.
+    if (buffer.records.Size() >= options_.max_buffer_records) {
+      // A capped buffer is a device still present, never stray fixes, so
+      // min_flush_records does not apply. The entry stays, marked, so that
+      // the visit's tail is translated too when the device goes idle.
       PopBufferLocked(shard, buffer, 1, &popped);
-      shard.buffers.erase(device);
+      buffer.capped = true;
     }
   }
   return TranslateAndDeliver(std::move(popped));
@@ -279,15 +299,18 @@ Result<std::vector<TranslationResult>> StreamSession::Ingest(
 Result<std::vector<TranslationResult>> StreamSession::Poll(TimestampMs now) {
   std::vector<PoppedBuffer> popped;
   for (BufferShard& shard : shards_) {
-    // In-place sweep per shard; global device order is restored below.
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto it = shard.buffers.begin(); it != shard.buffers.end();) {
-      if (now - it->second.newest >= options_.flush_after) {
-        PopBufferLocked(shard, it->second, options_.min_flush_records, &popped);
-        it = shard.buffers.erase(it);
-      } else {
+      Buffer& buffer = it->second;
+      if (now - buffer.newest < options_.flush_after) {
         ++it;
+        continue;
       }
+      if (!buffer.records.Empty()) {
+        PopBufferLocked(shard, buffer,
+                        buffer.capped ? 1 : options_.min_flush_records, &popped);
+      }
+      it = shard.buffers.erase(it);
     }
   }
   SortPoppedByDevice(&popped);
@@ -303,7 +326,7 @@ Result<std::vector<TranslationResult>> StreamSession::FlushAll() {
   for (BufferShard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto& [device, buffer] : shard.buffers) {
-      PopBufferLocked(shard, buffer, 1, &popped);
+      if (!buffer.records.Empty()) PopBufferLocked(shard, buffer, 1, &popped);
     }
     shard.buffers.clear();
   }

@@ -14,10 +14,10 @@
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/engine.h"
@@ -101,24 +101,31 @@ struct StreamOptions {
   size_t max_buffer_records = 20'000;
   /// Buffers smaller than this are dropped, not translated, when an age-based
   /// flush pops them (Poll deciding a device has departed — a couple of stray
-  /// fixes carry no semantics). It applies to age-based flushes only: a buffer
-  /// that reaches max_buffer_records, and every remainder FlushAll pops, is
+  /// fixes carry no semantics). It rules only a buffer that starts a visit:
+  /// a buffer that reaches max_buffer_records, the records a device sends
+  /// after a cap flush without first going idle for flush_after (the tail of
+  /// a visit already translated), and every remainder FlushAll pops are
   /// translated regardless.
   size_t min_flush_records = 4;
   /// Device-hash sub-maps the ingest buffers are split into, each with its
   /// own mutex, so concurrent ingest threads touching different devices never
   /// contend on one lock. 0 behaves as 1 (a single map). Flush output is
   /// byte-identical across any shard count: flushes gather from every shard
-  /// and re-establish global device-id order before translating.
+  /// and re-establish global device-id order before delivering.
   size_t buffer_shards = 8;
 };
 
 /// Incremental translation over a shared engine: records arrive one at a time
 /// from a live positioning feed; per-device buffers are translated and
-/// emitted once the device goes quiet or its buffer grows too large. Buffers
-/// are columnar (positioning::RecordBlock): ingestion appends to the columns
-/// and a flushed buffer feeds the engine's block pipeline directly, so a
-/// streamed sequence is never materialized as AoS records on its way in.
+/// emitted once the device goes quiet or its buffer grows too large.
+///
+/// The ingest path only stages: each device's buffer is one vector of raw
+/// records in a hash map keyed by device id, split over `buffer_shards`
+/// mutex-guarded shards, so an Ingest is one hash lookup and one append under
+/// one shard lock. A flush pops the released buffers, restores device-id
+/// order, and translates them over the thread pool, one buffer per task:
+/// each translating thread converts its buffer into a per-thread columnar
+/// positioning::RecordBlock and runs the engine's block pipeline on it.
 ///
 ///     auto stream = service.NewStreamSession();
 ///     for (const auto& [device, record] : feed) {
@@ -128,27 +135,31 @@ struct StreamOptions {
 ///     for (auto& result : *stream->FlushAll()) Emit(result);
 ///
 /// Alternatively install a sink with SetSink to receive every flushed result
-/// through a callback; Ingest/Poll/FlushAll then return empty vectors.
+/// through a callback; Ingest/Poll/FlushAll then return empty vectors. Either
+/// way a flush's results reach the caller on the thread that flushed, in
+/// device-id order, after the whole flush is translated.
 class StreamSession {
  public:
   /// Receives flushed results when installed via SetSink.
   using Sink = std::function<void(TranslationResult)>;
 
   /// Buffers are translated with the engine's baseline knowledge. `pool` (may
-  /// be null; normally the owning Service's pool) parallelizes cleaning
-  /// inside long flushed buffers. `metrics` (may be null) receives the
-  /// stream ingest metrics — including the true ingest-to-result latency:
-  /// each device buffer is stamped when its FIRST record arrives, and the
-  /// stamp-to-delivery time of every flushed buffer lands in
-  /// stream.ingest_to_result_ns.
+  /// be null; normally the owning Service's pool) translates the buffers of
+  /// one flush in parallel, and the cleaning inside long ones; without a pool
+  /// a flush translates its buffers one after another. `metrics` (may be
+  /// null) receives the stream ingest metrics — including the true
+  /// ingest-to-result latency: each device buffer is stamped when its FIRST
+  /// record arrives, and the stamp-to-delivery time of every flushed buffer
+  /// lands in stream.ingest_to_result_ns.
   explicit StreamSession(std::shared_ptr<const Engine> engine,
                          StreamOptions options = {},
                          util::ThreadPool* pool = nullptr,
                          std::shared_ptr<obs::MetricsRegistry> metrics = nullptr);
 
   /// Installs (or, with nullptr, removes) the delivery callback. The sink is
-  /// invoked from whichever thread triggered the flush, one result at a time,
-  /// in device-id order per flush, with the session lock released.
+  /// invoked on the thread that called the flushing Ingest/Poll/FlushAll,
+  /// never on a thread the flush's translation fanned out to, one result at
+  /// a time, in device-id order per flush, with no session lock held.
   void SetSink(Sink sink);
 
   /// Buffers one record. Returns the translation of the device's buffer when
@@ -159,7 +170,9 @@ class StreamSession {
                                                 const positioning::RawRecord& record);
 
   /// Flushes every device idle at `now` and returns their translations in
-  /// device-id order.
+  /// device-id order. An idle buffer shorter than min_flush_records is
+  /// dropped (stream.dropped_small_buffers) unless it is the remainder of a
+  /// cap flush.
   Result<std::vector<TranslationResult>> Poll(TimestampMs now);
 
   /// Flushes everything regardless of idleness (end of stream), in device-id
@@ -176,25 +189,33 @@ class StreamSession {
 
  private:
   struct Buffer {
-    positioning::RecordBlock block;
+    /// The staged records, in arrival order; device_id is set by the first.
+    positioning::PositioningSequence records;
     TimestampMs newest = 0;
     /// obs::NowNanos() at the FIRST record's arrival (0 = not traced).
     uint64_t ingest_ns = 0;
+    /// The device's previous buffer was cap-flushed: this one holds the rest
+    /// of a visit already being translated, so Poll translates it however
+    /// short. A capped entry stays in the map, empty, until Poll finds it
+    /// idle; a record that arrives there flush_after or more past `newest`
+    /// starts a new visit instead and clears the mark. An empty entry is
+    /// never counted as pending or dropped.
+    bool capped = false;
   };
   /// One device-hash shard of the ingest buffers. Ingest locks only the
   /// owning device's shard, so concurrent feeds on different devices proceed
   /// in parallel; flush paths sweep the shards one at a time.
   struct BufferShard {
     mutable std::mutex mu;
-    std::map<std::string, Buffer> buffers;
+    std::unordered_map<std::string, Buffer> buffers;
     /// Records currently buffered in this shard (maintained by ingest/flush;
     /// exported as stream.shardNN.buffered_records). Null without a registry.
     obs::Gauge* buffered_records = nullptr;
   };
-  /// A buffer popped for translation: the columnar records plus the trace
+  /// A buffer popped for translation: the staged records plus the trace
   /// stamp that rides along to the latency histogram.
   struct PoppedBuffer {
-    positioning::RecordBlock block;
+    positioning::PositioningSequence records;
     uint64_t ingest_ns = 0;
   };
   /// Resolved stream metric pointers (all null without a registry).
@@ -215,21 +236,22 @@ class StreamSession {
   void TrackBuffered(BufferShard& shard, int64_t delta);
   // Takes `buffer`'s records out of `shard`'s occupancy and moves them onto
   // `out` for translation, or drops them (counted) when fewer than
-  // `min_records`. The caller then erases the emptied buffer. Requires
-  // shard.mu held.
+  // `min_records`. Leaves `buffer` empty. Requires shard.mu held and a
+  // non-empty buffer.
   void PopBufferLocked(BufferShard& shard, Buffer& buffer, size_t min_records,
                        std::vector<PoppedBuffer>* out);
-  // Restores global device-id order over buffers gathered from several shards
-  // (within one shard the map already yields device order).
+  // Restores device-id order over buffers gathered from the unordered shard
+  // maps.
   static void SortPoppedByDevice(std::vector<PoppedBuffer>* popped);
-  // Translates popped buffers (no shard lock held) and routes the results to
-  // the sink when one is installed, else back to the caller. `popped` must be
-  // in device-id order.
+  // Translates popped buffers over the pool (no shard lock held), then, on
+  // the calling thread, records the flush metrics and routes the results to
+  // the sink when one is installed, else back to the caller. `popped` must
+  // be in device-id order.
   std::vector<TranslationResult> TranslateAndDeliver(std::vector<PoppedBuffer> popped);
 
   std::shared_ptr<const Engine> engine_;
   StreamOptions options_;
-  util::ThreadPool* pool_ = nullptr;      // may be null (serial cleaning)
+  util::ThreadPool* pool_ = nullptr;      // may be null (serial flushes)
   std::shared_ptr<obs::MetricsRegistry> metrics_;  // may be null
   StreamMetrics stream_metrics_;
   TranslationStageMetrics stages_;        // per-stage translation metrics

@@ -23,7 +23,8 @@
 //                   (complement::Complementor over mobility knowledge that a
 //                   BatchSession learns per request). The hot path is
 //                   columnar: positioning::RecordBlock (SoA columns +
-//                   validity bitmap) flows from the stream buffers through
+//                   validity bitmap), filled per translating thread from a
+//                   batch sequence or a flushed stream buffer, flows through
 //                   cleaning (reusable per-worker CleanerScratch, SIMD
 //                   mask/sweep kernels, batched snapping via
 //                   Dsm::SnapIfOutsideBatch, parallel passes on long

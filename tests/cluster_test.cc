@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -292,6 +294,154 @@ TEST_F(ClusterFixture, ConcurrentPerVenueFeedsStayByteIdentical) {
   }
 }
 
+// Venues added while other threads ingest: three threads feed the two venues
+// registered up front while a fourth registers the rest, probing each as
+// unknown right before its AddVenue, and then feeds them. The three keep
+// feeding (their devices again, under renamed ids) until the fourth is done,
+// so every AddVenue lands mid-stream. Every accepted record is translated
+// and stored exactly once, each fixture venue's own devices come out as in
+// its standalone run, and the counters are exact once all are done.
+TEST_F(ClusterFixture, AddVenueWhileIngesting) {
+  std::map<std::string, Dump> expected = ReferenceDumps();
+  ClusterOptions options;
+  options.worker_threads = 2;
+  Cluster city(options);
+  auto add_venue = [&city](const std::string& id,
+                           std::shared_ptr<const core::Engine> engine) {
+    VenueConfig config;
+    config.venue_id = id;
+    config.engine = std::move(engine);
+    return city.AddVenue(std::move(config));
+  };
+  for (const TestVenue* venue : {&venues_[0], &venues_[1]}) {
+    ASSERT_TRUE(add_venue(venue->id, venue->engine).ok());
+  }
+  std::mutex mu;
+  std::map<std::string, std::vector<core::TranslationResult>> delivered;
+  city.SetSink([&](const std::string& venue_id, core::TranslationResult r) {
+    std::lock_guard<std::mutex> lock(mu);
+    delivered[venue_id].push_back(std::move(r));
+  });
+
+  // The early venues' devices, dealt over three threads; each device's
+  // records stay in order on one thread.
+  std::vector<std::pair<const TestVenue*, const positioning::PositioningSequence*>> early;
+  for (const TestVenue* venue : {&venues_[0], &venues_[1]}) {
+    for (const auto& seq : venue->fleet) early.emplace_back(venue, &seq);
+  }
+  const positioning::RawRecord probe = venues_[0].fleet[0].records[0];
+  std::vector<std::string> extra_ids;
+  for (int k = 0; k < 8; ++k) extra_ids.push_back("e-extra-" + std::to_string(k));
+
+  constexpr size_t kMaxPasses = 8;
+  std::atomic<bool> go{false};
+  std::atomic<bool> adder_done{false};
+  std::atomic<size_t> failed{0};
+  std::map<std::string, size_t> accepted;  // venue -> records, merged under mu
+  size_t unknown_before_add = 0;
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      std::map<std::string, size_t> mine;
+      while (!go.load()) std::this_thread::yield();
+      for (size_t pass = 0; pass == 0 || (!adder_done.load() && pass < kMaxPasses);
+           ++pass) {
+        for (size_t f = t; f < early.size(); f += 3) {
+          const auto& [venue, seq] = early[f];
+          const std::string device =
+              pass == 0 ? seq->device_id : seq->device_id + "~" + std::to_string(pass);
+          for (const auto& record : seq->records) {
+            if (city.Ingest(venue->id, device, record).ok()) {
+              ++mine[venue->id];
+            } else {
+              ++failed;
+            }
+          }
+        }
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      for (const auto& [id, n] : mine) accepted[id] += n;
+    });
+  }
+  threads.emplace_back([&] {
+    std::map<std::string, size_t> mine;
+    while (!go.load()) std::this_thread::yield();
+    auto add = [&](const std::string& id, std::shared_ptr<const core::Engine> engine) {
+      if (city.Ingest(id, "probe", probe).code() == StatusCode::kNotFound) {
+        ++unknown_before_add;
+      }
+      if (!add_venue(id, std::move(engine)).ok()) ++failed;
+    };
+    for (const TestVenue* venue : {&venues_[2], &venues_[3]}) {
+      add(venue->id, venue->engine);
+      for (const auto& seq : venue->fleet) {
+        for (const auto& record : seq.records) {
+          if (city.Ingest(venue->id, seq.device_id, record).ok()) {
+            ++mine[venue->id];
+          } else {
+            ++failed;
+          }
+        }
+      }
+    }
+    for (const std::string& id : extra_ids) {
+      add(id, venues_[0].engine);
+      if (city.Ingest(id, "probe", probe).ok()) {
+        ++mine[id];
+      } else {
+        ++failed;
+      }
+    }
+    adder_done = true;
+    std::lock_guard<std::mutex> lock(mu);
+    for (const auto& [id, n] : mine) accepted[id] += n;
+  });
+  go = true;
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_EQ(unknown_before_add, 2 + extra_ids.size());
+  ASSERT_TRUE(city.FlushAll().ok());
+
+  // A fixture venue's own devices, as translated standalone.
+  for (const TestVenue& venue : venues_) {
+    std::vector<core::TranslationResult> own;
+    for (const core::TranslationResult& r : delivered[venue.id]) {
+      if (r.semantics.device_id.find('~') == std::string::npos) own.push_back(r);
+    }
+    EXPECT_EQ(DumpResults(own), expected[venue.id]) << venue.id;
+  }
+
+  const ClusterStats stats = city.Stats();
+  const obs::MetricsSnapshot snap = city.stats_registry()->Snap();
+  EXPECT_EQ(stats.venues, accepted.size());
+  EXPECT_EQ(stats.dropped_unknown_venue, 0u);
+  ASSERT_EQ(stats.per_venue_ingested.size(), accepted.size());
+  size_t total_accepted = 0, total_stored = 0;
+  size_t v = 0;
+  for (const auto& [id, records] : accepted) {
+    size_t translated = 0;
+    for (const core::TranslationResult& r : delivered[id]) {
+      translated += r.raw.records.size();
+    }
+    EXPECT_EQ(translated, records) << id;
+    EXPECT_EQ(stats.per_venue_ingested[v++], std::make_pair(id, records));
+    EXPECT_EQ(snap.gauge_or("venue." + id + ".ingested", -1),
+              static_cast<int64_t>(records))
+        << id;
+    EXPECT_EQ(city.venue_store(id)->Stats().sequences, delivered[id].size()) << id;
+    EXPECT_EQ(snap.gauge_or("venue." + id + ".stored_sequences", -1),
+              static_cast<int64_t>(delivered[id].size()))
+        << id;
+    total_accepted += records;
+    total_stored += delivered[id].size();
+  }
+  EXPECT_EQ(stats.ingested, total_accepted);
+  EXPECT_EQ(stats.stored_sequences, total_stored);
+  EXPECT_EQ(snap.counter_or("stream.records_ingested"), total_accepted);
+  EXPECT_EQ(snap.counter_or("stream.flush_records"), total_accepted);
+  EXPECT_EQ(city.PendingRecords(), 0u);
+}
+
 TEST_F(ClusterFixture, CrossVenueAnalyticsMergesInVenueOrder) {
   Cluster city({.worker_threads = 4});
   AddAll(&city);
@@ -388,6 +538,7 @@ TEST_F(ClusterFixture, UnknownVenueAndBadConfigsAreRejected) {
 
 TEST_F(ClusterFixture, PersistAllWritesEveryVenueDirectory) {
   std::string root = ::testing::TempDir() + "cluster_persist";
+  std::filesystem::remove_all(root);  // a previous run's stores would reload
   Cluster city({.worker_threads = 2});
   for (const TestVenue& venue : venues_) {
     ASSERT_TRUE(city.AddVenue({.venue_id = venue.id,
@@ -404,7 +555,10 @@ TEST_F(ClusterFixture, PersistAllWritesEveryVenueDirectory) {
     EXPECT_GT(stats.sequences, 0u) << venue.id;
     EXPECT_EQ(stats.persisted_segments, stats.segments) << venue.id;
 
-    // A fresh store over the same directory sees the same sequences.
+    // A fresh store over the same directory sees the same sequences, once
+    // the merge PersistAll started in the background has finished rewriting
+    // the directory.
+    city.venue_store(venue.id)->WaitForCompaction();
     auto reopened = store::TripStore::Open({.directory = root + "/" + venue.id});
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     EXPECT_EQ((*reopened)->Stats().sequences, stats.sequences) << venue.id;
