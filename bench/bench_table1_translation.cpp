@@ -4,9 +4,48 @@
 // times the end-to-end single-sequence translation.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 
 #include "bench_common.h"
+
+// Every heap allocation of this binary is counted, so BM_TranslateOneSequence
+// can report the translation path's allocations per record.
+namespace {
+std::atomic<uint64_t> g_allocations{0};
+
+void* CountedAlloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return CountedAlignedAlloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return CountedAlignedAlloc(size, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 using namespace trips;
 using bench::MallContext;
@@ -49,14 +88,20 @@ void BM_TranslateOneSequence(benchmark::State& state) {
   static auto fleet = bench::MakeFleet(ctx, 4, bench::DefaultNoise(7), 202);
   std::shared_ptr<const core::Engine> engine = bench::MakeEngine(ctx);
   size_t records = 0;
+  const uint64_t allocations_before = g_allocations.load(std::memory_order_relaxed);
   for (auto _ : state) {
     core::TranslationResult result = engine->Translate(fleet[0].raw);
     benchmark::DoNotOptimize(result);
     records += fleet[0].raw.records.size();
   }
+  const uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - allocations_before;
   state.SetItemsProcessed(static_cast<int64_t>(records));
   state.counters["records/s"] =
       benchmark::Counter(static_cast<double>(records), benchmark::Counter::kIsRate);
+  // Includes the TranslationResult each iteration builds and frees.
+  state.counters["allocs/record"] = benchmark::Counter(
+      records > 0 ? static_cast<double>(allocations) / static_cast<double>(records) : 0);
 }
 BENCHMARK(BM_TranslateOneSequence)->Unit(benchmark::kMillisecond);
 

@@ -2,6 +2,18 @@
 
 namespace trips::annotation {
 
+std::vector<double> Classifier::PredictProba(const Sample& x) const {
+  std::vector<double> probs(static_cast<size_t>(NumClasses()));
+  PredictProbaInto(x, probs);
+  return probs;
+}
+
+int Classifier::Predict(const Sample& x) const {
+  ProbaBuffer probs(static_cast<size_t>(NumClasses()));
+  PredictProbaInto(x, probs.span());
+  return ArgMax(probs.span());
+}
+
 double Accuracy(const Classifier& model, const std::vector<Sample>& samples,
                 const std::vector<int>& labels) {
   if (samples.empty() || samples.size() != labels.size()) return 0;

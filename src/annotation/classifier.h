@@ -4,7 +4,10 @@
 // from scratch in this repository.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,11 +29,17 @@ class Classifier {
   virtual Status Train(const std::vector<Sample>& samples,
                        const std::vector<int>& labels, int num_classes) = 0;
 
-  /// Predicts the most likely class for `x`; undefined before Train succeeds.
-  virtual int Predict(const Sample& x) const = 0;
+  /// Writes the per-class probability estimates of `x` (summing to 1) into
+  /// `out`, which holds NumClasses() entries. The one prediction routine of
+  /// each model; undefined before Train succeeds.
+  virtual void PredictProbaInto(std::span<const double> x,
+                                std::span<double> out) const = 0;
 
-  /// Per-class probability estimates (sums to 1).
-  virtual std::vector<double> PredictProba(const Sample& x) const = 0;
+  /// PredictProbaInto into a fresh vector.
+  std::vector<double> PredictProba(const Sample& x) const;
+
+  /// The most likely class for `x`: the first maximum of its probabilities.
+  int Predict(const Sample& x) const;
 
   /// Model family name, e.g. "decision_tree".
   virtual std::string Name() const = 0;
@@ -38,6 +47,32 @@ class Classifier {
   /// Number of classes the model was trained with (0 before training).
   virtual int NumClasses() const = 0;
 };
+
+/// Room for one prediction's class probabilities: on the stack for up to
+/// kInline classes, on the heap beyond that.
+class ProbaBuffer {
+ public:
+  explicit ProbaBuffer(size_t classes)
+      : heap_(classes > kInline ? classes : 0),
+        span_(classes > kInline ? heap_.data() : inline_.data(), classes) {}
+  ProbaBuffer(const ProbaBuffer&) = delete;
+  ProbaBuffer& operator=(const ProbaBuffer&) = delete;
+
+  std::span<double> span() const { return span_; }
+
+ private:
+  static constexpr size_t kInline = 16;
+  std::array<double, kInline> inline_;
+  std::vector<double> heap_;
+  std::span<double> span_;
+};
+
+/// Index of the first maximum of `probs` (0 when empty), std::max_element's
+/// rule.
+inline int ArgMax(std::span<const double> probs) {
+  return static_cast<int>(std::max_element(probs.begin(), probs.end()) -
+                          probs.begin());
+}
 
 /// Simple holdout accuracy of a trained classifier.
 double Accuracy(const Classifier& model, const std::vector<Sample>& samples,

@@ -43,6 +43,7 @@ Status DecisionTree::Train(const std::vector<Sample>& samples,
   }
   num_classes_ = num_classes;
   nodes_.clear();
+  leaf_probs_.clear();
   std::vector<size_t> indices(samples.size());
   std::iota(indices.begin(), indices.end(), 0);
   Rng rng(options_.seed);
@@ -66,10 +67,10 @@ int DecisionTree::Grow(const std::vector<Sample>& samples,
   auto make_leaf = [&]() {
     Node& node = nodes_[node_id];
     node.leaf = true;
-    node.probabilities.resize(num_classes_);
+    node.row = static_cast<uint32_t>(leaf_probs_.size());
     for (int c = 0; c < num_classes_; ++c) {
-      node.probabilities[c] =
-          total > 0 ? static_cast<double>(counts[c]) / static_cast<double>(total) : 0;
+      leaf_probs_.push_back(
+          total > 0 ? static_cast<double>(counts[c]) / static_cast<double>(total) : 0);
     }
   };
 
@@ -150,7 +151,7 @@ int DecisionTree::Grow(const std::vector<Sample>& samples,
   return node_id;
 }
 
-const DecisionTree::Node& DecisionTree::Descend(const Sample& x) const {
+const DecisionTree::Node& DecisionTree::Descend(std::span<const double> x) const {
   int id = 0;
   while (!nodes_[id].leaf) {
     const Node& node = nodes_[id];
@@ -160,15 +161,15 @@ const DecisionTree::Node& DecisionTree::Descend(const Sample& x) const {
   return nodes_[id];
 }
 
-int DecisionTree::Predict(const Sample& x) const {
-  const Node& leaf = Descend(x);
-  return static_cast<int>(std::max_element(leaf.probabilities.begin(),
-                                           leaf.probabilities.end()) -
-                          leaf.probabilities.begin());
+std::span<const double> DecisionTree::LeafDistribution(
+    std::span<const double> x) const {
+  return {leaf_probs_.data() + Descend(x).row, static_cast<size_t>(num_classes_)};
 }
 
-std::vector<double> DecisionTree::PredictProba(const Sample& x) const {
-  return Descend(x).probabilities;
+void DecisionTree::PredictProbaInto(std::span<const double> x,
+                                    std::span<double> out) const {
+  std::span<const double> leaf = LeafDistribution(x);
+  std::copy_n(leaf.begin(), std::min(leaf.size(), out.size()), out.begin());
 }
 
 int DecisionTree::Depth() const {
@@ -193,7 +194,9 @@ json::Value DecisionTree::ToJson() const {
     jn["depth"] = node.depth;
     if (node.leaf) {
       json::Array probs;
-      for (double p : node.probabilities) probs.push_back(p);
+      for (int c = 0; c < num_classes_; ++c) {
+        probs.push_back(leaf_probs_[node.row + c]);
+      }
       jn["probs"] = std::move(probs);
     } else {
       jn["feature"] = node.feature;
@@ -229,11 +232,13 @@ Result<DecisionTree> DecisionTree::FromJson(const json::Value& value) {
       if (probs == nullptr || !probs->is_array()) {
         return Status::ParseError("leaf without probabilities");
       }
+      node.row = static_cast<uint32_t>(tree.leaf_probs_.size());
       for (const json::Value& p : probs->AsArray()) {
         if (!p.is_number()) return Status::ParseError("non-numeric probability");
-        node.probabilities.push_back(p.AsDouble());
+        tree.leaf_probs_.push_back(p.AsDouble());
       }
-      if (static_cast<int>(node.probabilities.size()) != tree.num_classes_) {
+      const size_t arity = tree.leaf_probs_.size() - node.row;
+      if (arity != static_cast<size_t>(tree.num_classes_)) {
         return Status::ParseError("leaf probability arity mismatch");
       }
     } else {
@@ -246,7 +251,7 @@ Result<DecisionTree> DecisionTree::FromJson(const json::Value& value) {
         return Status::ParseError("tree node with invalid links");
       }
     }
-    tree.nodes_.push_back(std::move(node));
+    tree.nodes_.push_back(node);
   }
   return tree;
 }

@@ -27,10 +27,14 @@ class DecisionTree : public Classifier {
 
   Status Train(const std::vector<Sample>& samples, const std::vector<int>& labels,
                int num_classes) override;
-  int Predict(const Sample& x) const override;
-  std::vector<double> PredictProba(const Sample& x) const override;
+  void PredictProbaInto(std::span<const double> x,
+                        std::span<double> out) const override;
   std::string Name() const override { return "decision_tree"; }
   int NumClasses() const override { return num_classes_; }
+
+  /// The class distribution of the leaf `x` descends to: NumClasses()
+  /// entries of the tree's leaf table, read in place.
+  std::span<const double> LeafDistribution(std::span<const double> x) const;
 
   /// Number of nodes in the grown tree (0 before training).
   size_t NodeCount() const { return nodes_.size(); }
@@ -49,16 +53,18 @@ class DecisionTree : public Classifier {
     double threshold = 0;
     int left = -1;
     int right = -1;
-    std::vector<double> probabilities;  // leaf class distribution
     int depth = 0;
+    uint32_t row = 0;  // leaf: offset of its class distribution in leaf_probs_
   };
 
   int Grow(const std::vector<Sample>& samples, const std::vector<int>& labels,
            std::vector<size_t>& indices, int depth, Rng* rng);
-  const Node& Descend(const Sample& x) const;
+  const Node& Descend(std::span<const double> x) const;
 
   DecisionTreeOptions options_;
   std::vector<Node> nodes_;
+  // Leaf class distributions, num_classes_ entries per leaf in creation order.
+  std::vector<double> leaf_probs_;
   int num_classes_ = 0;
   size_t num_features_ = 0;
 };

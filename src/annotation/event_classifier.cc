@@ -99,10 +99,10 @@ std::string EventClassifier::RuleBasedIdentify(const FeatureVector& f) {
 std::pair<std::string, double> EventClassifier::IdentifyWithConfidence(
     const FeatureVector& features) const {
   if (model_ == nullptr) return {RuleBasedIdentify(features), 1.0};
-  Sample x(features.begin(), features.end());
-  std::vector<double> probs = model_->PredictProba(x);
-  int best = static_cast<int>(std::max_element(probs.begin(), probs.end()) -
-                              probs.begin());
+  ProbaBuffer buffer(static_cast<size_t>(model_->NumClasses()));
+  std::span<double> probs = buffer.span();
+  model_->PredictProbaInto(features, probs);
+  int best = ArgMax(probs);
   double confidence = probs.empty() ? 0 : probs[best];
   if (confidence < options_.min_confidence) {
     return {core::kEventUnknown, confidence};

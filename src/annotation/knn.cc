@@ -7,7 +7,7 @@ namespace trips::annotation {
 
 KnnClassifier::KnnClassifier(KnnOptions options) : options_(options) {}
 
-std::vector<double> KnnClassifier::Standardize(const Sample& x) const {
+std::vector<double> KnnClassifier::Standardize(std::span<const double> x) const {
   std::vector<double> z(num_features_, 0);
   for (size_t f = 0; f < num_features_ && f < x.size(); ++f) {
     z[f] = (x[f] - mean_[f]) / stddev_[f];
@@ -58,9 +58,10 @@ Status KnnClassifier::Train(const std::vector<Sample>& samples,
   return Status::OK();
 }
 
-std::vector<double> KnnClassifier::PredictProba(const Sample& x) const {
-  std::vector<double> probs(std::max(num_classes_, 1), 0);
-  if (samples_.empty()) return probs;
+void KnnClassifier::PredictProbaInto(std::span<const double> x,
+                                     std::span<double> probs) const {
+  std::fill(probs.begin(), probs.end(), 0.0);
+  if (samples_.empty()) return;
   std::vector<double> z = Standardize(x);
 
   // Partial sort of the k nearest (squared) distances.
@@ -87,13 +88,6 @@ std::vector<double> KnnClassifier::PredictProba(const Sample& x) const {
   if (total > 0) {
     for (double& p : probs) p /= total;
   }
-  return probs;
-}
-
-int KnnClassifier::Predict(const Sample& x) const {
-  std::vector<double> probs = PredictProba(x);
-  return static_cast<int>(std::max_element(probs.begin(), probs.end()) -
-                          probs.begin());
 }
 
 }  // namespace trips::annotation

@@ -8,7 +8,7 @@ namespace trips::annotation {
 
 LogisticRegression::LogisticRegression(LogisticOptions options) : options_(options) {}
 
-std::vector<double> LogisticRegression::Standardize(const Sample& x) const {
+std::vector<double> LogisticRegression::Standardize(std::span<const double> x) const {
   std::vector<double> z(num_features_, 0);
   for (size_t f = 0; f < num_features_ && f < x.size(); ++f) {
     z[f] = (x[f] - mean_[f]) / stddev_[f];
@@ -90,32 +90,26 @@ Status LogisticRegression::Train(const std::vector<Sample>& samples,
   return Status::OK();
 }
 
-std::vector<double> LogisticRegression::PredictProba(const Sample& x) const {
-  std::vector<double> probs(std::max(num_classes_, 1), 0);
-  if (num_classes_ == 0) return probs;
+void LogisticRegression::PredictProbaInto(std::span<const double> x,
+                                          std::span<double> probs) const {
+  std::fill(probs.begin(), probs.end(), 0.0);
+  if (num_classes_ == 0) return;
   std::vector<double> z = Standardize(x);
   const size_t stride = num_features_ + 1;
-  std::vector<double> logits(num_classes_);
+  // The logits go into `probs`, then the softmax rewrites them in place.
   for (int c = 0; c < num_classes_; ++c) {
     const double* w = &weights_[static_cast<size_t>(c) * stride];
     double dot = w[num_features_];
     for (size_t f = 0; f < num_features_; ++f) dot += w[f] * z[f];
-    logits[c] = dot;
+    probs[c] = dot;
   }
-  double max_logit = *std::max_element(logits.begin(), logits.end());
+  double max_logit = *std::max_element(probs.begin(), probs.begin() + num_classes_);
   double denom = 0;
   for (int c = 0; c < num_classes_; ++c) {
-    probs[c] = std::exp(logits[c] - max_logit);
+    probs[c] = std::exp(probs[c] - max_logit);
     denom += probs[c];
   }
   for (double& p : probs) p /= denom;
-  return probs;
-}
-
-int LogisticRegression::Predict(const Sample& x) const {
-  std::vector<double> probs = PredictProba(x);
-  return static_cast<int>(std::max_element(probs.begin(), probs.end()) -
-                          probs.begin());
 }
 
 }  // namespace trips::annotation

@@ -23,8 +23,8 @@ class LogisticRegression : public Classifier {
 
   Status Train(const std::vector<Sample>& samples, const std::vector<int>& labels,
                int num_classes) override;
-  int Predict(const Sample& x) const override;
-  std::vector<double> PredictProba(const Sample& x) const override;
+  void PredictProbaInto(std::span<const double> x,
+                        std::span<double> out) const override;
   std::string Name() const override { return "logistic_regression"; }
   int NumClasses() const override { return num_classes_; }
 
@@ -34,7 +34,7 @@ class LogisticRegression : public Classifier {
   static Result<LogisticRegression> FromJson(const json::Value& value);
 
  private:
-  std::vector<double> Standardize(const Sample& x) const;
+  std::vector<double> Standardize(std::span<const double> x) const;
 
   LogisticOptions options_;
   int num_classes_ = 0;

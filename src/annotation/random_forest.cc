@@ -44,23 +44,16 @@ Status RandomForest::Train(const std::vector<Sample>& samples,
   return Status::OK();
 }
 
-std::vector<double> RandomForest::PredictProba(const Sample& x) const {
-  std::vector<double> probs(num_classes_, 0);
-  if (trees_.empty()) return probs;
+void RandomForest::PredictProbaInto(std::span<const double> x,
+                                    std::span<double> out) const {
+  std::fill(out.begin(), out.end(), 0.0);
+  if (trees_.empty()) return;
   for (const DecisionTree& tree : trees_) {
-    std::vector<double> p = tree.PredictProba(x);
-    for (int c = 0; c < num_classes_ && c < static_cast<int>(p.size()); ++c) {
-      probs[c] += p[c];
-    }
+    std::span<const double> leaf = tree.LeafDistribution(x);
+    const size_t classes = std::min(out.size(), leaf.size());
+    for (size_t c = 0; c < classes; ++c) out[c] += leaf[c];
   }
-  for (double& p : probs) p /= static_cast<double>(trees_.size());
-  return probs;
-}
-
-int RandomForest::Predict(const Sample& x) const {
-  std::vector<double> probs = PredictProba(x);
-  return static_cast<int>(std::max_element(probs.begin(), probs.end()) -
-                          probs.begin());
+  for (double& p : out) p /= static_cast<double>(trees_.size());
 }
 
 }  // namespace trips::annotation

@@ -25,12 +25,15 @@ class RandomForest : public Classifier {
 
   Status Train(const std::vector<Sample>& samples, const std::vector<int>& labels,
                int num_classes) override;
-  int Predict(const Sample& x) const override;
-  std::vector<double> PredictProba(const Sample& x) const override;
+  /// Adds the trees' leaf distributions into `out` in tree order, then
+  /// divides by the tree count.
+  void PredictProbaInto(std::span<const double> x,
+                        std::span<double> out) const override;
   std::string Name() const override { return "random_forest"; }
   int NumClasses() const override { return num_classes_; }
 
   size_t TreeCount() const { return trees_.size(); }
+  const std::vector<DecisionTree>& trees() const { return trees_; }
 
   /// Serializes the trained forest (all member trees).
   json::Value ToJson() const;

@@ -1,8 +1,8 @@
 #include "cleaning/cleaner.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <map>
 #include <span>
 
 namespace trips::cleaning {
@@ -14,26 +14,29 @@ namespace {
 // Pass-4 records per parallel work item: coarse enough that the fork/join
 // bookkeeping stays negligible next to the per-record walkability query.
 constexpr size_t kSnapChunk = 1024;
+}  // namespace
 
-// Majority floor of the (up to) three records following i; falls back to
-// record i's own floor when no successors exist.
-geo::FloorId LocalFloorConsensus(const std::vector<geo::FloorId>& floors,
-                                 size_t n, size_t i) {
-  std::map<geo::FloorId, int> votes;
-  for (size_t j = i + 1; j < std::min(n, i + 4); ++j) {
-    ++votes[floors[j]];
+geo::FloorId LocalFloorConsensus(std::span<const geo::FloorId> floors, size_t i) {
+  // Tally the distinct floors among the (at most three) voters.
+  std::array<geo::FloorId, 3> floor_of{};
+  std::array<int, 3> votes{};
+  size_t distinct = 0;
+  for (size_t j = i + 1; j < std::min(floors.size(), i + 4); ++j) {
+    size_t k = 0;
+    while (k < distinct && floor_of[k] != floors[j]) ++k;
+    if (k == distinct) floor_of[distinct++] = floors[j];
+    ++votes[k];
   }
   geo::FloorId best = floors[i];
   int best_votes = 0;
-  for (const auto& [floor, v] : votes) {
-    if (v > best_votes) {
-      best_votes = v;
-      best = floor;
+  for (size_t k = 0; k < distinct; ++k) {
+    if (votes[k] > best_votes || (votes[k] == best_votes && floor_of[k] < best)) {
+      best_votes = votes[k];
+      best = floor_of[k];
     }
   }
   return best;
 }
-}  // namespace
 
 RawDataCleaner::RawDataCleaner(const dsm::Dsm* dsm, const dsm::RoutePlanner* planner,
                                CleanerOptions options)
@@ -229,7 +232,7 @@ void RawDataCleaner::ScanPass(RecordBlock* block, CleanerScratch* scratch,
     }
 
     // Floor change against the anchor.
-    geo::FloorId consensus = LocalFloorConsensus(floors, n, i);
+    geo::FloorId consensus = LocalFloorConsensus(floors, i);
     bool at_connector = near_connector(last_ok) && near_connector(i);
     if (at_connector && planar_ok && floors[i] == consensus) {
       last_ok = i;  // legitimate, corroborated transition

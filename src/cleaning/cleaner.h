@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dsm/dsm.h"
@@ -121,6 +122,11 @@ struct CleanerScratch {
   std::vector<geo::IndoorPoint> snap_points;
   std::vector<geo::IndoorPoint> snap_results;
 };
+
+/// Pass 1's floor vote: the majority floor of the (up to) three records that
+/// follow record i, the lowest floor winning a tie; record i's own floor when
+/// it has no successor. Allocates nothing.
+geo::FloorId LocalFloorConsensus(std::span<const geo::FloorId> floors, size_t i);
 
 /// Cleans raw positioning sequences against a DSM.
 class RawDataCleaner {

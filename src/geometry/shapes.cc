@@ -151,8 +151,6 @@ Point2 Polygon::Centroid() const {
 
 bool Polygon::Contains(const Point2& p) const {
   if (vertices.size() < 3) return false;
-  // Boundary counts as inside.
-  if (BoundaryDistanceTo(p) < 1e-7) return true;
   // Even-odd ray cast to +x.
   bool inside = false;
   size_t n = vertices.size();
@@ -165,13 +163,19 @@ bool Polygon::Contains(const Point2& p) const {
       if (p.x < x_at) inside = !inside;
     }
   }
-  return inside;
+  // Boundary counts as inside. Both tests are pure, so measuring the boundary
+  // only for points the ray cast puts outside gives the same answer.
+  return inside || BoundaryDistanceTo(p) < 1e-7;
 }
 
 double Polygon::BoundaryDistanceTo(const Point2& p) const {
+  // Edges() in place: the same edges in the same order, without the vector.
   double best = 1e300;
-  for (const Segment& e : Edges()) {
-    best = std::min(best, e.DistanceTo(p));
+  const size_t n = vertices.size();
+  if (n < 2) return best;
+  for (size_t i = 0; i < n; ++i) {
+    const Point2& next = vertices[i + 1 == n ? 0 : i + 1];
+    best = std::min(best, Segment(vertices[i], next).DistanceTo(p));
   }
   return best;
 }
@@ -194,8 +198,11 @@ std::vector<Segment> Polygon::Edges() const {
 }
 
 bool Polygon::BoundaryIntersects(const Segment& s) const {
-  for (const Segment& e : Edges()) {
-    if (e.Intersects(s)) return true;
+  const size_t n = vertices.size();
+  if (n < 2) return false;
+  for (size_t i = 0; i < n; ++i) {
+    const Point2& next = vertices[i + 1 == n ? 0 : i + 1];
+    if (Segment(vertices[i], next).Intersects(s)) return true;
   }
   return false;
 }

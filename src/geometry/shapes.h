@@ -63,16 +63,19 @@ struct Polygon {
   double Perimeter() const;
   /// Centroid of the enclosed region (vertex average for degenerate polygons).
   Point2 Centroid() const;
-  /// True iff `p` is inside or on the boundary (even-odd rule with an
-  /// epsilon-snapped boundary test).
+  /// True iff `p` is inside or on the boundary: the even-odd ray cast runs
+  /// first, and only a point it puts outside is measured against the
+  /// boundary (within 1e-7 counts as inside). Allocates nothing.
   bool Contains(const Point2& p) const;
-  /// Smallest distance from `p` to the polygon boundary.
+  /// Smallest distance from `p` to the polygon boundary, walking the edges
+  /// in Edges() order without building them. Allocates nothing.
   double BoundaryDistanceTo(const Point2& p) const;
   /// Bounding box of all vertices.
   BoundingBox Bounds() const;
   /// Boundary edges as segments (closing edge included).
   std::vector<Segment> Edges() const;
-  /// True iff the straight segment a->b crosses the polygon boundary.
+  /// True iff the straight segment a->b crosses the polygon boundary (edges
+  /// walked in place, in Edges() order).
   bool BoundaryIntersects(const Segment& s) const;
 };
 

@@ -1,6 +1,11 @@
 #include "store/trip_store.h"
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -8,6 +13,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "core/result_io.h"
 #include "store/compaction.h"
@@ -46,6 +52,44 @@ bool ParseSegmentFileName(const std::string& name, size_t* index) {
   *index = value;
   return true;
 }
+
+// An exclusive flock(2) on <directory>/LOCK, released on destruction (a
+// no-op for a memory-only store's empty directory). Every TripStore takes it
+// before mu_ around the steps that read or rewrite the directory layout:
+// Open's load and stray cleanup, Flush's persist-and-checkpoint, and a merge
+// from writing its output until its inputs are deleted. An opener therefore
+// never deletes a segment file whose checkpoint is still to come, and never
+// reads a manifest whose files a merge is deleting. flock locks belong to an
+// open file description, so two stores of one process serialize too. Scan
+// recovery and stray cleanup ignore the LOCK file.
+class DirectoryLock {
+ public:
+  static Result<DirectoryLock> Acquire(const std::string& directory) {
+    if (directory.empty()) return DirectoryLock(-1);
+    std::string path = (std::filesystem::path(directory) / "LOCK").string();
+    int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+    if (fd < 0) {
+      return Status::IOError("cannot open " + path + ": " + std::strerror(errno));
+    }
+    while (::flock(fd, LOCK_EX) != 0) {
+      if (errno == EINTR) continue;
+      int err = errno;
+      ::close(fd);
+      return Status::IOError("cannot lock " + path + ": " + std::strerror(err));
+    }
+    return DirectoryLock(fd);
+  }
+
+  DirectoryLock(DirectoryLock&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+  DirectoryLock& operator=(DirectoryLock&&) = delete;
+  ~DirectoryLock() {
+    if (fd_ >= 0) ::close(fd_);  // closing the descriptor releases the lock
+  }
+
+ private:
+  explicit DirectoryLock(int fd) : fd_(fd) {}
+  int fd_;
+};
 
 void GrowSpan(TimeRange* span, bool* has_span, const TimeRange& range) {
   if (!*has_span) {
@@ -316,6 +360,8 @@ Result<std::unique_ptr<TripStore>> TripStore::Open(StoreOptions options) {
       return Status::IOError("cannot create store directory " +
                              store->options_.directory + ": " + ec.message());
     }
+    TRIPS_ASSIGN_OR_RETURN(DirectoryLock dir_lock,
+                           DirectoryLock::Acquire(store->options_.directory));
     std::unique_lock lock(store->mu_);
     TRIPS_RETURN_NOT_OK(store->LoadDirectoryLocked());
   }
@@ -792,6 +838,8 @@ Status TripStore::WriteManifestLocked() {
 
 Status TripStore::Flush() {
   {
+    TRIPS_ASSIGN_OR_RETURN(DirectoryLock dir_lock,
+                           DirectoryLock::Acquire(options_.directory));
     std::unique_lock lock(mu_);
     if (!segments_.empty() && !segments_.back()->sealed &&
         segments_.back()->sequence_count > 0) {
@@ -861,6 +909,9 @@ Status TripStore::ExecuteCompaction(const PendingCompaction& pending) {
     }
   }
   std::string blob = EncodeSegmentV2(merged, pending.base);
+  // Held from writing the merged file until its inputs are deleted.
+  TRIPS_ASSIGN_OR_RETURN(DirectoryLock dir_lock,
+                         DirectoryLock::Acquire(options_.directory));
   std::filesystem::path path =
       std::filesystem::path(options_.directory) / pending.file;
   TRIPS_RETURN_NOT_OK(WriteFileAtomic(path, blob));

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
 
 #include "annotation/decision_tree.h"
+#include "annotation/event_classifier.h"
 #include "annotation/knn.h"
 #include "annotation/logistic.h"
 #include "annotation/random_forest.h"
+#include "dsm/sample_spaces.h"
+#include "mobility/generator.h"
 #include "util/rng.h"
 
 namespace trips::annotation {
@@ -237,6 +242,144 @@ TEST(MetricsTest, AccuracyEdgeCases) {
   DecisionTree tree;
   EXPECT_DOUBLE_EQ(Accuracy(tree, {}, {}), 0);
   EXPECT_DOUBLE_EQ(Accuracy(tree, {{1}}, {0, 1}), 0);  // size mismatch
+}
+
+// ---- the forest average, bit for bit ----
+
+// A seeded Event Editor corpus: the ground-truth segments of generated mall
+// visits, labelled with their true events.
+std::vector<config::LabeledSegment> EventCorpus(int devices, uint64_t seed) {
+  dsm::Dsm mall = dsm::BuildMallDsm({.floors = 2, .shops_per_arm = 2}).ValueOrDie();
+  dsm::RoutePlanner planner = dsm::RoutePlanner::Build(&mall).ValueOrDie();
+  mobility::MobilityGenerator gen(&mall, &planner);
+  Rng rng(seed);
+  std::vector<config::LabeledSegment> segments;
+  for (int d = 0; d < devices; ++d) {
+    auto dev = gen.GenerateDevice("corpus-" + std::to_string(d), 0, &rng);
+    EXPECT_TRUE(dev.ok());
+    for (const core::MobilitySemantic& s : dev->semantics.semantics) {
+      config::LabeledSegment seg;
+      seg.event = s.event;
+      seg.segment.device_id = dev->truth.device_id;
+      seg.segment.records = dev->truth.RecordsIn(s.range);
+      if (seg.segment.records.size() >= 2) segments.push_back(std::move(seg));
+    }
+  }
+  return segments;
+}
+
+// The forest average as first written: each tree's own probability vector,
+// added in tree order, then divided by the tree count.
+std::vector<double> TreeAverage(const RandomForest& forest, const Sample& x) {
+  std::vector<double> sum(static_cast<size_t>(forest.NumClasses()), 0.0);
+  for (const DecisionTree& tree : forest.trees()) {
+    std::vector<double> p = tree.PredictProba(x);
+    for (size_t c = 0; c < sum.size() && c < p.size(); ++c) sum[c] += p[c];
+  }
+  for (double& v : sum) v /= static_cast<double>(forest.TreeCount());
+  return sum;
+}
+
+bool BitEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The corpus rows, a jittered copy of each, and uniform draws from the rows'
+// bounding box, where the trees disagree most and the leaf sums are
+// fractional.
+std::vector<Sample> CorpusProbes(const std::vector<Sample>& rows) {
+  std::vector<Sample> probes = rows;
+  Rng rng(77);
+  Sample lo = rows.front(), hi = rows.front();
+  for (const Sample& row : rows) {
+    Sample s = row;
+    for (size_t f = 0; f < s.size(); ++f) {
+      lo[f] = std::min(lo[f], row[f]);
+      hi[f] = std::max(hi[f], row[f]);
+      s[f] *= rng.Uniform(0.9, 1.1);
+    }
+    probes.push_back(std::move(s));
+  }
+  for (int k = 0; k < 2000; ++k) {
+    Sample s(lo.size());
+    for (size_t f = 0; f < s.size(); ++f) {
+      s[f] = lo[f] + (hi[f] - lo[f]) * rng.Uniform(0, 1);
+    }
+    probes.push_back(std::move(s));
+  }
+  return probes;
+}
+
+TEST(RandomForestTest, PredictProbaMatchesTreeAverage) {
+  std::vector<config::LabeledSegment> corpus = EventCorpus(8, 21);
+  std::vector<std::string> vocab;
+  for (const config::LabeledSegment& seg : corpus) {
+    if (std::find(vocab.begin(), vocab.end(), seg.event) == vocab.end()) {
+      vocab.push_back(seg.event);
+    }
+  }
+  ASSERT_GE(vocab.size(), 2u);
+  std::vector<Sample> x;
+  std::vector<int> y;
+  BuildTrainingMatrix(corpus, vocab, &x, &y);
+  ASSERT_GT(x.size(), 50u);
+
+  RandomForest forest;  // the default identification model: 25 trees
+  ASSERT_TRUE(forest.Train(x, y, static_cast<int>(vocab.size())).ok());
+  ASSERT_EQ(forest.TreeCount(), 25u);
+
+  // The same forest loaded from JSON, its leaves re-weighted to seeded
+  // arbitrary distributions: grown leaves are mostly pure, so their sums are
+  // whole numbers, which divide by the tree count the same way however the
+  // average is taken; arbitrary rows make the sum order and the division
+  // show in the last bit.
+  json::Value doc = forest.ToJson();
+  Rng rng(0x1eaf);
+  for (json::Value& tree : doc.AsObject()["trees"].AsArray()) {
+    for (json::Value& node : tree.AsObject()["nodes"].AsArray()) {
+      if (!node.AsObject().Contains("probs")) continue;
+      json::Array& probs = node.AsObject()["probs"].AsArray();
+      std::vector<double> w(probs.size());
+      double total = 0;
+      for (double& v : w) total += v = rng.Uniform(0.01, 1);
+      for (size_t c = 0; c < w.size(); ++c) probs[c] = json::Value(w[c] / total);
+    }
+  }
+  auto loaded = RandomForest::FromJson(json::Parse(doc.Dump()).ValueOrDie());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->TreeCount(), 25u);
+
+  for (const Sample& s : CorpusProbes(x)) {
+    std::vector<double> p = forest.PredictProba(s);
+    ASSERT_TRUE(BitEqual(p, TreeAverage(forest, s)));
+    ASSERT_TRUE(BitEqual(loaded->PredictProba(s), TreeAverage(*loaded, s)));
+    EXPECT_EQ(forest.Predict(s), static_cast<int>(std::max_element(p.begin(), p.end()) -
+                                                  p.begin()));
+  }
+}
+
+TEST(EventClassifierTest, LabelsMatchTreeAverageOnCorpus) {
+  std::vector<config::LabeledSegment> corpus = EventCorpus(8, 21);
+  EventClassifier classifier;  // random forest
+  ASSERT_TRUE(classifier.Train(corpus).ok());
+  auto restored = EventClassifier::FromJson(classifier.ToJson().ValueOrDie());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const EventClassifier* const models[] = {&classifier, &restored.ValueOrDie()};
+  for (const EventClassifier* c : models) {
+    const auto* forest = dynamic_cast<const RandomForest*>(c->model());
+    ASSERT_NE(forest, nullptr);
+    for (const config::LabeledSegment& seg : corpus) {
+      FeatureVector f = ExtractFeatures(seg.segment);
+      std::vector<double> ref = TreeAverage(*forest, Sample(f.begin(), f.end()));
+      size_t best = static_cast<size_t>(std::max_element(ref.begin(), ref.end()) -
+                                        ref.begin());
+      auto [event, confidence] = c->IdentifyWithConfidence(f);
+      EXPECT_EQ(event, c->event_names()[best]);
+      EXPECT_EQ(confidence, ref[best]);
+      EXPECT_EQ(c->Identify(f), event);
+    }
+  }
 }
 
 }  // namespace

@@ -206,5 +206,28 @@ TEST_F(CleanerFixture, CleaningReducesErrorVsTruth) {
   EXPECT_GT(report.speed_violations, 0u);
 }
 
+// Pass 1's floor vote over the (up to) three records after record i.
+TEST(FloorConsensusTest, PinsTheTieBreak) {
+  // Three different floors, one vote each: the lowest floor wins, wherever
+  // it stands among the voters.
+  EXPECT_EQ(LocalFloorConsensus(std::vector<geo::FloorId>{0, 5, 2, 3}, 0), 2);
+  EXPECT_EQ(LocalFloorConsensus(std::vector<geo::FloorId>{1, 3, 2, -1}, 0), -1);
+  EXPECT_EQ(LocalFloorConsensus(std::vector<geo::FloorId>{9, 1, 4, 7}, 0), 1);
+  // Two against one: the pair wins in every arrangement, above or below.
+  EXPECT_EQ(LocalFloorConsensus(std::vector<geo::FloorId>{0, 4, 1, 4}, 0), 4);
+  EXPECT_EQ(LocalFloorConsensus(std::vector<geo::FloorId>{0, 1, 4, 4}, 0), 4);
+  EXPECT_EQ(LocalFloorConsensus(std::vector<geo::FloorId>{0, 4, 4, 1}, 0), 4);
+  EXPECT_EQ(LocalFloorConsensus(std::vector<geo::FloorId>{0, 1, 4, 1}, 0), 1);
+  // Two voters left, split: the lower floor; one voter: its floor.
+  EXPECT_EQ(LocalFloorConsensus(std::vector<geo::FloorId>{7, 3, 2}, 0), 2);
+  EXPECT_EQ(LocalFloorConsensus(std::vector<geo::FloorId>{7, 3}, 0), 3);
+  // No successor: the record's own floor.
+  EXPECT_EQ(LocalFloorConsensus(std::vector<geo::FloorId>{7}, 0), 7);
+  EXPECT_EQ(LocalFloorConsensus(std::vector<geo::FloorId>{1, 2, 7}, 2), 7);
+  // Only the next three vote, and record i never votes for itself.
+  EXPECT_EQ(LocalFloorConsensus(std::vector<geo::FloorId>{0, 1, 2, 2, 5, 5, 5}, 0), 2);
+  EXPECT_EQ(LocalFloorConsensus(std::vector<geo::FloorId>{5, 5, 1, 2, 3}, 1), 1);
+}
+
 }  // namespace
 }  // namespace trips::cleaning

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -9,6 +10,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/result_io.h"
@@ -741,6 +743,64 @@ TEST_F(StorePersistenceFixture, AppendAfterReopenContinuesSegmentFiles) {
   EXPECT_EQ(CountSegmentFiles(dir_), (*third)->Stats().segments);
   EXPECT_TRUE(std::filesystem::exists(
       std::filesystem::path(dir_) / kManifestFileName));
+}
+
+// One thread appends and flushes with background compaction while another
+// keeps opening the same directory. An opener must never see less than the
+// last checkpoint (a merge deleting the inputs of the manifest it read), and
+// its stray cleanup must never delete a segment file the owner is about to
+// checkpoint (a Flush's new segment, a merge's output).
+TEST_F(StorePersistenceFixture, ConcurrentReopenKeepsEveryCheckpoint) {
+  constexpr int kSequences = 240;
+  StoreOptions owner_options = DiskOptions();
+  owner_options.worker_threads = 1;  // compaction runs in the background
+  auto owner = TripStore::Open(owner_options);
+  ASSERT_TRUE(owner.ok()) << owner.status().ToString();
+
+  std::atomic<size_t> checkpointed{0};
+  std::atomic<bool> writer_done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < kSequences; ++i) {
+      core::MobilitySemanticsSequence seq;
+      seq.device_id = "dev-" + std::to_string(i);
+      seq.semantics.push_back(Triplet(core::kEventStay, 1 + i % 5, "R",
+                                      i * kMillisPerMinute,
+                                      (i + 1) * kMillisPerMinute));
+      EXPECT_TRUE((*owner)->Append(std::move(seq)).ok());
+      if (i % 2 == 1) {
+        EXPECT_TRUE((*owner)->Flush().ok());
+        checkpointed.store(static_cast<size_t>(i + 1));
+      }
+    }
+    writer_done.store(true);
+  });
+
+  auto metrics = std::make_shared<obs::MetricsRegistry>();
+  StoreOptions reader_options = DiskOptions();
+  reader_options.metrics = metrics;
+  size_t reopens = 0;
+  size_t short_reads = 0;
+  while (!writer_done.load()) {
+    const size_t floor = checkpointed.load();
+    auto reader = TripStore::Open(reader_options);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    short_reads += (*reader)->Stats().sequences < floor;
+    ++reopens;
+  }
+  writer.join();
+  (*owner)->WaitForCompaction();
+  EXPECT_GT(reopens, 0u);
+  EXPECT_EQ(short_reads, 0u) << "of " << reopens << " reopens";
+  EXPECT_EQ(metrics->counter("store.dropped_segments")->Value(), 0u);
+
+  auto final_metrics = std::make_shared<obs::MetricsRegistry>();
+  StoreOptions final_options = DiskOptions();
+  final_options.metrics = final_metrics;
+  auto final_open = TripStore::Open(final_options);
+  ASSERT_TRUE(final_open.ok()) << final_open.status().ToString();
+  EXPECT_EQ((*final_open)->Stats().sequences, static_cast<size_t>(kSequences));
+  EXPECT_EQ((*final_open)->Devices().size(), static_cast<size_t>(kSequences));
+  EXPECT_EQ(final_metrics->counter("store.dropped_segments")->Value(), 0u);
 }
 
 // The acceptance matrix: every query answer is identical across mmap on/off,
