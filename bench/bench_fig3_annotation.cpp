@@ -108,10 +108,12 @@ void ReportEventIdentification() {
   for (int d = 0; d < kEval; ++d) {
     auto dev = ctx.generator->GenerateDevice("eval", 0, &rng);
     if (!dev.ok()) std::abort();
+    positioning::RecordBlock truth =
+        positioning::RecordBlock::FromSequence(dev->truth);
     core::SemanticsAgreement a =
-        core::CompareSemantics(dev->semantics, annotator.Annotate(dev->truth));
+        core::CompareSemantics(dev->semantics, annotator.Annotate(truth));
     core::SemanticsAgreement b =
-        core::CompareSemantics(dev->semantics, baseline.Annotate(dev->truth));
+        core::CompareSemantics(dev->semantics, baseline.Annotate(truth));
     trips_event += a.event_match;
     trips_region += a.region_match;
     base_event += b.event_match;
@@ -125,19 +127,21 @@ void ReportEventIdentification() {
 void BM_SplitSequence(benchmark::State& state) {
   static MallContext ctx = MallContext::Make(7, 3);
   static auto fleet = bench::MakeFleet(ctx, 1, bench::DefaultNoise(7), 808);
+  static auto block = positioning::RecordBlock::FromSequence(fleet[0].raw);
   for (auto _ : state) {
-    auto snippets = annotation::SplitSequence(fleet[0].raw);
+    auto snippets = annotation::SplitSequence(block);
     benchmark::DoNotOptimize(snippets);
   }
-  state.counters["records"] = static_cast<double>(fleet[0].raw.records.size());
+  state.counters["records"] = static_cast<double>(block.Size());
 }
 BENCHMARK(BM_SplitSequence)->Unit(benchmark::kMillisecond);
 
 void BM_ExtractFeatures(benchmark::State& state) {
   static MallContext ctx = MallContext::Make(7, 3);
   static auto fleet = bench::MakeFleet(ctx, 1, bench::DefaultNoise(7), 909);
+  static auto block = positioning::RecordBlock::FromSequence(fleet[0].raw);
   for (auto _ : state) {
-    auto f = annotation::ExtractFeatures(fleet[0].raw);
+    auto f = annotation::ExtractFeatures(block, 0, block.Size());
     benchmark::DoNotOptimize(f);
   }
 }
@@ -159,13 +163,14 @@ BENCHMARK(BM_TrainModel)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 void BM_Annotate(benchmark::State& state) {
   static MallContext ctx = MallContext::Make(7, 3);
   static auto fleet = bench::MakeFleet(ctx, 1, bench::DefaultNoise(7), 121);
+  static auto block = positioning::RecordBlock::FromSequence(fleet[0].raw);
   static annotation::EventClassifier classifier;  // rule-based
   annotation::Annotator annotator(ctx.dsm.get(), &classifier);
   size_t records = 0;
   for (auto _ : state) {
-    auto semantics = annotator.Annotate(fleet[0].raw);
+    auto semantics = annotator.Annotate(block);
     benchmark::DoNotOptimize(semantics);
-    records += fleet[0].raw.records.size();
+    records += block.Size();
   }
   state.counters["records/s"] =
       benchmark::Counter(static_cast<double>(records), benchmark::Counter::kIsRate);

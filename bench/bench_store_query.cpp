@@ -1,5 +1,5 @@
 // TripStore numbers: ingest throughput, query latency percentiles, and the
-// mmap/partitioning/compaction storage axes on a scaled corpus.
+// cold-open/partitioning/compaction storage axes on a scaled corpus.
 //
 // The fleet is translated once through a core::Service (128 devices on the
 // simulated 7-floor mall), then tiled TRIPS_BENCH_STORE_SCALE times (default
@@ -10,9 +10,9 @@
 //   - ingest: Append of every translated sequence, memory-only and persisted
 //     (segment codec + one fsync-less write per sealed segment);
 //   - cold open + first window: TripStore::Open on the scaled corpus followed
-//     by one narrow SequencesInRange, eager decode vs mmap/lazy — the v2
-//     format's reason to exist ("cold" means a cold store, not a cold page
-//     cache: the axis isolates decode work, which dwarfs the read either way);
+//     by one narrow SequencesInRange — Open maps footers only and the window
+//     decodes just the segments it overlaps ("cold" means a cold store, not a
+//     cold page cache: the row isolates decode work);
 //   - windowed scans: one-hour SequencesInRange windows rotating across the
 //     days, time-partitioned layout vs flat;
 //   - queries: p50/p95/max wall latency of DeviceHistory (per-device merge)
@@ -214,26 +214,21 @@ void ReportStoreNumbers() {
   std::filesystem::remove_all(dir);
   std::printf("\n");
 
-  // ---- cold open + first window: eager vs mmap -----------------------------
-  TimeRange window = corpus.DayWindow(corpus.scale / 2);
-  auto measure_cold = [&](const char* label, bool mmap) {
+  // ---- cold open + first window ---------------------------------------------
+  {
+    TimeRange window = corpus.DayWindow(corpus.scale / 2);
     auto start = std::chrono::steady_clock::now();
-    auto stored = store::TripStore::Open({.directory = corpus.partitioned_dir,
-                                          .mmap = mmap,
-                                          .compaction = false});
+    auto stored = store::TripStore::Open(
+        {.directory = corpus.partitioned_dir, .compaction = false});
     if (!stored.ok()) std::abort();
     auto rows = stored.ValueOrDie()->SequencesInRange(window.begin, window.end);
     double ms = MillisSince(start);
-    std::printf("cold open + 1h window %-7s | %8.1f ms | %4zu rows | "
-                "%zu/%zu segments decoded\n",
-                label, ms, rows.size(),
+    std::printf("cold open + 1h window | %8.1f ms | %4zu rows | "
+                "%zu/%zu segments decoded\n\n",
+                ms, rows.size(),
                 stored.ValueOrDie()->Stats().materialized_segments,
                 stored.ValueOrDie()->Stats().segments);
-    return ms;
-  };
-  double eager_ms = measure_cold("eager", false);
-  double mmap_ms = measure_cold("mmap", true);
-  std::printf("cold-path speedup           | %7.1fx\n\n", eager_ms / mmap_ms);
+  }
 
   // ---- windowed scans: partitioned vs flat ---------------------------------
   auto measure_windows = [&](const char* label, const std::string& directory) {
@@ -376,32 +371,14 @@ void BM_RegionVisitors(benchmark::State& state) {
 }
 BENCHMARK(BM_RegionVisitors)->Unit(benchmark::kMicrosecond);
 
-/// Cold TripStore::Open of the scaled corpus + one narrow window, eager
-/// decode — the v1-era reference path (every segment decoded up front).
-void BM_ColdOpenFirstWindow_Eager(benchmark::State& state) {
+/// Cold TripStore::Open of the scaled corpus + one narrow window: Open reads
+/// only footers, the window materializes just the partitions it overlaps.
+void BM_ColdOpenFirstWindow(benchmark::State& state) {
   const ScaledCorpus& corpus = ScaledCorpus::Get();
   TimeRange window = corpus.DayWindow(corpus.scale / 2);
   for (auto _ : state) {
-    auto stored = store::TripStore::Open({.directory = corpus.partitioned_dir,
-                                          .mmap = false,
-                                          .compaction = false});
-    if (!stored.ok()) std::abort();
-    auto rows = stored.ValueOrDie()->SequencesInRange(window.begin, window.end);
-    benchmark::DoNotOptimize(rows);
-  }
-  state.counters["segments"] = static_cast<double>(corpus.segments);
-}
-BENCHMARK(BM_ColdOpenFirstWindow_Eager)->Unit(benchmark::kMillisecond);
-
-/// Same cold open + first window through the mmap path: Open reads only
-/// footers, the window materializes just the partitions it overlaps.
-void BM_ColdOpenFirstWindow_Mmap(benchmark::State& state) {
-  const ScaledCorpus& corpus = ScaledCorpus::Get();
-  TimeRange window = corpus.DayWindow(corpus.scale / 2);
-  for (auto _ : state) {
-    auto stored = store::TripStore::Open({.directory = corpus.partitioned_dir,
-                                          .mmap = true,
-                                          .compaction = false});
+    auto stored = store::TripStore::Open(
+        {.directory = corpus.partitioned_dir, .compaction = false});
     if (!stored.ok()) std::abort();
     auto rows = stored.ValueOrDie()->SequencesInRange(window.begin, window.end);
     benchmark::DoNotOptimize(rows);
@@ -410,9 +387,8 @@ void BM_ColdOpenFirstWindow_Mmap(benchmark::State& state) {
   // indexes, which the open + window path under measurement never touches.
   size_t materialized = 0;
   {
-    auto stored = store::TripStore::Open({.directory = corpus.partitioned_dir,
-                                          .mmap = true,
-                                          .compaction = false});
+    auto stored = store::TripStore::Open(
+        {.directory = corpus.partitioned_dir, .compaction = false});
     if (!stored.ok()) std::abort();
     auto rows = stored.ValueOrDie()->SequencesInRange(window.begin, window.end);
     benchmark::DoNotOptimize(rows);
@@ -421,7 +397,7 @@ void BM_ColdOpenFirstWindow_Mmap(benchmark::State& state) {
   state.counters["segments"] = static_cast<double>(corpus.segments);
   state.counters["decoded"] = static_cast<double>(materialized);
 }
-BENCHMARK(BM_ColdOpenFirstWindow_Mmap)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ColdOpenFirstWindow)->Unit(benchmark::kMillisecond);
 
 void RunWindowScan(benchmark::State& state, const std::string& directory,
                    const ScaledCorpus& corpus) {

@@ -23,10 +23,10 @@
 #                         < 2% overhead gate)
 #   BENCH_store.json    — TripStore storage axes on the tiled ~100x corpus
 #                         (TRIPS_BENCH_STORE_SCALE tiles, one day each):
-#                         cold open + first window with eager decode vs the
-#                         mmap/lazy path, windowed scans on the partitioned
-#                         vs flat layout, plus append/history/visitor
-#                         latencies
+#                         cold open + first window (footers mapped, only the
+#                         overlapped segments decoded), windowed scans on the
+#                         partitioned vs flat layout, plus append/history/
+#                         visitor latencies
 #
 # Usage: bench/run_benches.sh [build_dir] [out_dir] [min_time]
 #   build_dir  where the bench binaries live        (default: build)

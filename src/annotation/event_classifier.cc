@@ -32,10 +32,12 @@ void BuildTrainingMatrix(const std::vector<config::LabeledSegment>& segments,
                          std::vector<Sample>* samples, std::vector<int>* labels) {
   samples->clear();
   labels->clear();
+  positioning::RecordBlock block;  // one conversion buffer for every segment
   for (const config::LabeledSegment& seg : segments) {
     auto it = std::find(vocabulary.begin(), vocabulary.end(), seg.event);
     if (it == vocabulary.end()) continue;
-    FeatureVector f = ExtractFeatures(seg.segment);
+    block.AssignFrom(seg.segment);
+    FeatureVector f = ExtractFeatures(block, 0, block.Size());
     samples->emplace_back(f.begin(), f.end());
     labels->push_back(static_cast<int>(it - vocabulary.begin()));
   }

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "positioning/record_block.h"
-
 namespace trips::annotation {
 
 const std::vector<std::string>& FeatureNames() {
@@ -16,38 +14,29 @@ const std::vector<std::string>& FeatureNames() {
   return kNames;
 }
 
-namespace {
-
-// One algorithm, two layouts: instantiated for the AoS sequence and the SoA
-// block through the uniform accessors, so both paths compute bit-identical
-// features.
-template <typename Source>
-FeatureVector ExtractFeaturesImpl(const Source& src, size_t begin, size_t end) {
-  using positioning::FloorAt;
-  using positioning::RecordCount;
-  using positioning::TimeAt;
-  using positioning::XYAt;
-
+FeatureVector ExtractFeatures(const positioning::RecordBlock& block, size_t begin,
+                              size_t end) {
   FeatureVector f{};
-  if (end > RecordCount(src)) end = RecordCount(src);
+  if (end > block.Size()) end = block.Size();
   if (begin >= end) return f;
   const size_t n = end - begin;
   f[kRecordCount] = static_cast<double>(n);
   if (n < 2) return f;
 
-  DurationMs duration = TimeAt(src, end - 1) - TimeAt(src, begin);
+  const std::vector<TimestampMs>& ts = block.timestamps;
+  DurationMs duration = ts[end - 1] - ts[begin];
   f[kDurationS] = static_cast<double>(duration) / 1000.0;
 
   // Centroid & variance.
   geo::Point2 centroid;
-  for (size_t i = begin; i < end; ++i) centroid = centroid + XYAt(src, i);
+  for (size_t i = begin; i < end; ++i) centroid = centroid + block.XY(i);
   centroid = centroid / static_cast<double>(n);
   double var = 0;
   geo::BoundingBox box;
   for (size_t i = begin; i < end; ++i) {
-    double d = XYAt(src, i).DistanceTo(centroid);
+    double d = block.XY(i).DistanceTo(centroid);
     var += d * d;
-    box.Extend(XYAt(src, i));
+    box.Extend(block.XY(i));
   }
   f[kLocationVariance] = var / static_cast<double>(n);
   f[kCoveringRange] =
@@ -63,15 +52,15 @@ FeatureVector ExtractFeaturesImpl(const Source& src, size_t begin, size_t end) {
   bool have_heading = false;
   double prev_heading = 0;
   for (size_t i = begin + 1; i < end; ++i) {
-    geo::Point2 step = XYAt(src, i) - XYAt(src, i - 1);
+    geo::Point2 step = block.XY(i) - block.XY(i - 1);
     double len = step.Norm();
     travel += len;
-    DurationMs dt = TimeAt(src, i) - TimeAt(src, i - 1);
+    DurationMs dt = ts[i] - ts[i - 1];
     double speed = dt > 0 ? len / (static_cast<double>(dt) / 1000.0) : 0;
     if (speed > max_speed) max_speed = speed;
     ++steps;
     if (speed < 0.2) ++slow_steps;
-    if (FloorAt(src, i) != FloorAt(src, i - 1)) ++floor_changes;
+    if (block.floors[i] != block.floors[i - 1]) ++floor_changes;
     if (len > 0.05) {  // ignore jitter when computing headings
       double heading = std::atan2(step.y, step.x);
       if (have_heading) {
@@ -84,7 +73,7 @@ FeatureVector ExtractFeaturesImpl(const Source& src, size_t begin, size_t end) {
     }
   }
   f[kTravelDistance] = travel;
-  f[kNetDisplacement] = XYAt(src, begin).DistanceTo(XYAt(src, end - 1));
+  f[kNetDisplacement] = block.XY(begin).DistanceTo(block.XY(end - 1));
   f[kMeanSpeed] = f[kDurationS] > 0 ? travel / f[kDurationS] : 0;
   f[kMaxStepSpeed] = max_speed;
   f[kStraightness] = travel > 1e-9 ? f[kNetDisplacement] / travel : 0;
@@ -94,22 +83,6 @@ FeatureVector ExtractFeaturesImpl(const Source& src, size_t begin, size_t end) {
       steps > 0 ? static_cast<double>(slow_steps) / static_cast<double>(steps) : 0;
   f[kFloorChanges] = floor_changes;
   return f;
-}
-
-}  // namespace
-
-FeatureVector ExtractFeatures(const positioning::PositioningSequence& seq,
-                              size_t begin, size_t end) {
-  return ExtractFeaturesImpl(seq, begin, end);
-}
-
-FeatureVector ExtractFeatures(const positioning::RecordBlock& block, size_t begin,
-                              size_t end) {
-  return ExtractFeaturesImpl(block, begin, end);
-}
-
-FeatureVector ExtractFeatures(const positioning::PositioningSequence& seq) {
-  return ExtractFeatures(seq, 0, seq.records.size());
 }
 
 }  // namespace trips::annotation

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "positioning/record.h"
 #include "positioning/record_block.h"
 
 namespace trips::annotation {
@@ -36,18 +35,10 @@ using FeatureVector = std::array<double, kFeatureCount>;
 /// Human-readable names of the features, index-aligned with FeatureIndex.
 const std::vector<std::string>& FeatureNames();
 
-/// Extracts features from a slice [begin, end) of a time-sorted sequence.
-/// Slices with fewer than 2 records yield a zero vector with the available
-/// counts filled in.
-FeatureVector ExtractFeatures(const positioning::PositioningSequence& seq,
-                              size_t begin, size_t end);
-
-/// Columnar form: the same features over a slice of a time-sorted record
-/// block (shared implementation — results are bit-identical to the AoS form).
+/// Extracts features from a slice [begin, end) of a time-sorted record block
+/// (`end` is clamped to the block). Slices with fewer than 2 records yield a
+/// zero vector with the available counts filled in.
 FeatureVector ExtractFeatures(const positioning::RecordBlock& block, size_t begin,
                               size_t end);
-
-/// Convenience: features of a whole sequence.
-FeatureVector ExtractFeatures(const positioning::PositioningSequence& seq);
 
 }  // namespace trips::annotation

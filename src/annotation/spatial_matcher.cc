@@ -3,23 +3,17 @@
 #include <algorithm>
 #include <vector>
 
-#include "positioning/record_block.h"
-
 namespace trips::annotation {
-
-using positioning::LocationAt;
-using positioning::RecordCount;
-using positioning::TimeAt;
 
 SpatialMatcher::SpatialMatcher(const dsm::Dsm* dsm, SpatialMatcherOptions options)
     : dsm_(dsm), options_(options) {}
 
-template <typename Source>
-SpatialMatch SpatialMatcher::MatchImpl(const Source& src, size_t begin,
-                                       size_t end) const {
+SpatialMatch SpatialMatcher::Match(const positioning::RecordBlock& block,
+                                   size_t begin, size_t end) const {
   SpatialMatch out;
-  if (end > RecordCount(src)) end = RecordCount(src);
+  if (end > block.Size()) end = block.Size();
   if (begin >= end) return out;
+  const std::vector<TimestampMs>& ts = block.timestamps;
 
   // Flat per-region vote accumulator, reused across calls (thread-local: one
   // matcher instance serves all translation workers). The buffer is indexed
@@ -36,14 +30,10 @@ SpatialMatch SpatialMatcher::MatchImpl(const Source& src, size_t begin,
   double total = 0;
   for (size_t i = begin; i < end; ++i) {
     double weight = 0;
-    if (i > begin) {
-      weight += static_cast<double>(TimeAt(src, i) - TimeAt(src, i - 1)) / 2;
-    }
-    if (i + 1 < end) {
-      weight += static_cast<double>(TimeAt(src, i + 1) - TimeAt(src, i)) / 2;
-    }
+    if (i > begin) weight += static_cast<double>(ts[i] - ts[i - 1]) / 2;
+    if (i + 1 < end) weight += static_cast<double>(ts[i + 1] - ts[i]) / 2;
     if (weight <= 0) weight = 1;
-    dsm::RegionId rid = dsm_->RegionAt(LocationAt(src, i));
+    dsm::RegionId rid = dsm_->RegionAt(block.Location(i));
     if (rid != dsm::kInvalidRegion) {
       if (votes[rid] == 0) touched.push_back(rid);
       votes[rid] += weight;
@@ -74,16 +64,6 @@ SpatialMatch SpatialMatcher::MatchImpl(const Source& src, size_t begin,
     out.region_name = r->name;
   }
   return out;
-}
-
-SpatialMatch SpatialMatcher::Match(const positioning::PositioningSequence& seq,
-                                   size_t begin, size_t end) const {
-  return MatchImpl(seq, begin, end);
-}
-
-SpatialMatch SpatialMatcher::Match(const positioning::RecordBlock& block,
-                                   size_t begin, size_t end) const {
-  return MatchImpl(block, begin, end);
 }
 
 }  // namespace trips::annotation

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "dsm/dsm.h"
-#include "positioning/record.h"
 #include "positioning/record_block.h"
 
 namespace trips::annotation {
@@ -31,19 +30,11 @@ class SpatialMatcher {
  public:
   explicit SpatialMatcher(const dsm::Dsm* dsm, SpatialMatcherOptions options = {});
 
-  /// Matches records [begin, end) of `seq`.
-  SpatialMatch Match(const positioning::PositioningSequence& seq, size_t begin,
-                     size_t end) const;
-
-  /// Columnar form over a record block (shared implementation — matches are
-  /// identical to the AoS form).
+  /// Matches records [begin, end) of `block` (`end` is clamped to the block).
   SpatialMatch Match(const positioning::RecordBlock& block, size_t begin,
                      size_t end) const;
 
  private:
-  template <typename Source>
-  SpatialMatch MatchImpl(const Source& src, size_t begin, size_t end) const;
-
   const dsm::Dsm* dsm_;
   SpatialMatcherOptions options_;
 };

@@ -9,7 +9,6 @@
 
 namespace trips::annotation {
 
-using positioning::PositioningSequence;
 using positioning::RecordBlock;
 
 namespace {
@@ -93,13 +92,6 @@ size_t Find(size_t* parent, size_t x) {
 }
 
 }  // namespace
-
-std::vector<Snippet> SplitSequence(const PositioningSequence& seq,
-                                   const SplitterOptions& options) {
-  static thread_local RecordBlock block;
-  block.AssignFrom(seq);
-  return SplitSequence(block, options);
-}
 
 std::vector<Snippet> SplitSequence(const RecordBlock& block,
                                    const SplitterOptions& options) {

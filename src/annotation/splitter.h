@@ -34,7 +34,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "positioning/record.h"
 #include "positioning/record_block.h"
 
 namespace trips::annotation {
@@ -67,11 +66,6 @@ struct Snippet {
 /// for blocks with fewer than 2 records. The records must be time-sorted (the
 /// engine sorts every block before cleaning); the time windows assume it.
 std::vector<Snippet> SplitSequence(const positioning::RecordBlock& block,
-                                   const SplitterOptions& options = {});
-
-/// AoS adapter: converts through a per-thread RecordBlock, so the snippets are
-/// the block form's. Same time-sorted precondition.
-std::vector<Snippet> SplitSequence(const positioning::PositioningSequence& seq,
                                    const SplitterOptions& options = {});
 
 }  // namespace trips::annotation

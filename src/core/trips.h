@@ -28,12 +28,11 @@
 //                   cleaning (reusable per-worker CleanerScratch, SIMD
 //                   mask/sweep kernels, batched snapping via
 //                   Dsm::SnapIfOutsideBatch, parallel passes on long
-//                   sequences) and annotation without AoS
-//                   rematerialization; the layers' AoS entry points remain
-//                   as byte-identical shims
+//                   sequences) and annotation, which runs on blocks only;
+//                   the cleaner's AoS Clean remains as a byte-identical shim
 //   Store         — store::TripStore, the persistent, indexed semantic-
 //                   trajectory store between translation and analytics:
-//                   append-only binary segments (store/segment_codec.h, v2:
+//                   append-only binary segments (store/segment_codec.h:
 //                   footer-indexed, mmap'd zero-copy with lazy per-segment
 //                   materialization and deferred index hydration) laid out
 //                   in time-partitioned directories (part-<bucket>/) that

@@ -159,8 +159,7 @@ class Dsm {
 
   /// Disables (or re-enables) the index at runtime, forcing the point queries
   /// onto the brute-force scans. Parity testing and benchmarking only — never
-  /// needed in production. Compile with -DTRIPS_DSM_NO_SPATIAL_INDEX to
-  /// default it off.
+  /// needed in production.
   void set_spatial_index_enabled(bool enabled) { use_spatial_index_ = enabled; }
   bool spatial_index_enabled() const { return use_spatial_index_; }
 
@@ -182,11 +181,7 @@ class Dsm {
   Topology topology_;
   SpatialIndex spatial_index_;
   bool topology_computed_ = false;
-#ifdef TRIPS_DSM_NO_SPATIAL_INDEX
-  bool use_spatial_index_ = false;
-#else
   bool use_spatial_index_ = true;
-#endif
   EntityId next_entity_id_ = 0;
   RegionId next_region_id_ = 0;
 };

@@ -28,8 +28,8 @@
 // and query-time tie-breaking replays the flat Dijkstra's first-writer pop
 // order). The flat algorithms stay available as the *Flat methods and
 // through RoutePlannerOptions::use_contraction /
-// set_contraction_enabled(false) / -DTRIPS_DSM_NO_CONTRACTION — the same
-// parity idiom as spatial_index.h — and tests/routing_contraction_test.cc
+// set_contraction_enabled(false) — the same parity idiom as
+// spatial_index.h — and tests/routing_contraction_test.cc
 // enforces contracted == flat on randomized venues down to byte-identical
 // Service output.
 //
@@ -74,12 +74,8 @@ struct RoutePlannerOptions {
   /// Answers queries over the contracted portal graph instead of the flat
   /// clique graph. Results are identical (the parity suite enforces it);
   /// turning this off is for parity testing and before/after benchmarks
-  /// only. Compile with -DTRIPS_DSM_NO_CONTRACTION to default it off.
-#ifdef TRIPS_DSM_NO_CONTRACTION
-  bool use_contraction = false;
-#else
+  /// only.
   bool use_contraction = true;
-#endif
 };
 
 /// A computed indoor route: the waypoints (start, door midpoints, vertical

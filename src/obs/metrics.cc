@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 
 namespace trips::obs {
 
@@ -145,22 +144,6 @@ int64_t MetricsSnapshot::gauge_or(const std::string& name,
 }
 
 // ---- MetricsRegistry --------------------------------------------------------
-
-namespace {
-
-bool DefaultEnabled() {
-#if defined(TRIPS_OBS_DISABLED)
-  return false;
-#else
-  const char* env = std::getenv("TRIPS_OBS_DISABLED");
-  return env == nullptr || env[0] == '\0' ||
-         (env[0] == '0' && env[1] == '\0');
-#endif
-}
-
-}  // namespace
-
-MetricsRegistry::MetricsRegistry() : enabled_(DefaultEnabled()) {}
 
 MetricsRegistry::MetricsRegistry(bool enabled) : enabled_(enabled) {}
 

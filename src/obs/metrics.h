@@ -15,11 +15,9 @@
 //      histogram quantiles are computed from the merged bucket counts, and
 //      the exported JSON orders metrics by name. tests/obs_test.cc holds the
 //      merge-determinism and golden-snapshot suites.
-//   3. Opt-out. Runtime: MetricsRegistry::set_enabled(false) (or the
-//      TRIPS_OBS_DISABLED environment variable) turns every registry-owned
-//      metric into a cheap early-return; translation output is byte-identical
-//      metrics on or off. Compile time: build with -DTRIPS_OBS_DISABLED and
-//      the recording bodies compile away entirely.
+//   3. Opt-out. MetricsRegistry(false) or set_enabled(false) turns every
+//      registry-owned metric into a cheap early-return; translation output
+//      is byte-identical metrics on or off.
 //
 // Histograms are log-bucketed: fixed pow-1.25 buckets spanning nanoseconds to
 // minutes (96 buckets from 64 ns to ~80 s; a pure 64-bucket ladder at ratio
@@ -65,13 +63,9 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void Add(uint64_t delta = 1) {
-#if !defined(TRIPS_OBS_DISABLED)
     if (gate_ != nullptr && !gate_->load(std::memory_order_relaxed)) return;
     shards_[internal::ThisThreadSlot()].v.fetch_add(delta,
                                                     std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
 
   /// Sum over all shards. Concurrent Adds may or may not be included (each
@@ -107,24 +101,16 @@ class Gauge {
   Gauge& operator=(const Gauge&) = delete;
 
   void Add(int64_t delta) {
-#if !defined(TRIPS_OBS_DISABLED)
     if (gate_ != nullptr && !gate_->load(std::memory_order_relaxed)) return;
     shards_[internal::ThisThreadSlot()].v.fetch_add(delta,
                                                     std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
   void Sub(int64_t delta) { Add(-delta); }
 
   /// Overwrites the merged value (zeroes all shards, writes slot 0).
   void Set(int64_t value) {
-#if !defined(TRIPS_OBS_DISABLED)
     for (Shard& s : shards_) s.v.store(0, std::memory_order_relaxed);
     shards_[0].v.store(value, std::memory_order_relaxed);
-#else
-    (void)value;
-#endif
   }
 
   int64_t Value() const {
@@ -170,7 +156,6 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void Record(uint64_t value) {
-#if !defined(TRIPS_OBS_DISABLED)
     if (!recording()) return;
     Shard& shard = shards_[internal::ThisThreadSlot()];
     shard.buckets[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
@@ -180,19 +165,12 @@ class Histogram {
     while (value > seen && !shard.max.compare_exchange_weak(
                                seen, value, std::memory_order_relaxed)) {
     }
-#else
-    (void)value;
-#endif
   }
 
   /// True when a Record call would actually record — StageTimer checks this
   /// before touching the clock, so a disabled registry costs no clock reads.
   bool recording() const {
-#if defined(TRIPS_OBS_DISABLED)
-    return false;
-#else
     return gate_ == nullptr || gate_->load(std::memory_order_relaxed);
-#endif
   }
 
   /// Merges the shards into a deterministic summary.
@@ -274,10 +252,8 @@ struct MetricsSnapshot {
 /// gates every owned metric at recording time.
 class MetricsRegistry {
  public:
-  /// Enabled by default; the TRIPS_OBS_DISABLED environment variable (any
-  /// non-empty value except "0") or the compile-time macro start it disabled.
-  MetricsRegistry();
-  explicit MetricsRegistry(bool enabled);
+  /// Enabled unless constructed with `false`.
+  explicit MetricsRegistry(bool enabled = true);
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;

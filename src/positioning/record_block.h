@@ -6,9 +6,10 @@
 // are reusable across sequences (reserve once, Clear + refill).
 //
 // Conversions to/from positioning::PositioningSequence are exact (the columns
-// store the same doubles/int64s the AoS records hold), so the AoS API shims
-// that delegate through a block are byte-identical to operating on the
-// sequence directly.
+// store the same doubles/int64s the AoS records hold): callers holding AoS
+// records (training segments, the cleaner's Clean shim) convert once with
+// AssignFrom/FromSequence and run the block code, and the split, features,
+// spatial matching and annotation passes exist in this layout only.
 #pragma once
 
 #include <cstdint>
@@ -115,37 +116,5 @@ struct RecordBlock {
   /// Convenience: a freshly allocated block copy of `seq`.
   static RecordBlock FromSequence(const PositioningSequence& seq);
 };
-
-// ---- uniform per-record accessors ------------------------------------------
-//
-// Overloaded for both layouts so an algorithm body can be written once (as a
-// template over the source type) and run on AoS sequences and SoA blocks with
-// identical arithmetic — the annotation layer's splitter, feature extraction
-// and spatial matcher are implemented this way.
-
-inline size_t RecordCount(const PositioningSequence& s) { return s.records.size(); }
-inline size_t RecordCount(const RecordBlock& b) { return b.Size(); }
-
-inline TimestampMs TimeAt(const PositioningSequence& s, size_t i) {
-  return s.records[i].timestamp;
-}
-inline TimestampMs TimeAt(const RecordBlock& b, size_t i) { return b.timestamps[i]; }
-
-inline geo::Point2 XYAt(const PositioningSequence& s, size_t i) {
-  return s.records[i].location.xy;
-}
-inline geo::Point2 XYAt(const RecordBlock& b, size_t i) { return b.XY(i); }
-
-inline geo::FloorId FloorAt(const PositioningSequence& s, size_t i) {
-  return s.records[i].location.floor;
-}
-inline geo::FloorId FloorAt(const RecordBlock& b, size_t i) { return b.floors[i]; }
-
-inline geo::IndoorPoint LocationAt(const PositioningSequence& s, size_t i) {
-  return s.records[i].location;
-}
-inline geo::IndoorPoint LocationAt(const RecordBlock& b, size_t i) {
-  return b.Location(i);
-}
 
 }  // namespace trips::positioning

@@ -118,8 +118,7 @@ Result<std::vector<std::string>> DecodeStringTable(Reader* reader) {
   return table;
 }
 
-// Decodes one triplet from its five field values (shared by the v1 row
-// decoder and the v2 column decoder). Append only stores Valid()
+// Decodes one triplet from its five column values. Append only stores Valid()
 // (begin <= end) ranges, so a negative duration — or a delta/duration that
 // overflows int64 — can only come from corruption; reject it rather than
 // indexing a range the store's own ingest path would have refused.
@@ -140,57 +139,6 @@ bool BuildTriplet(const std::vector<std::string>& table, uint64_t event,
   }
   *prev_end = out->range.end;
   return true;
-}
-
-Result<std::vector<core::MobilitySemanticsSequence>> DecodeSegmentV1(
-    std::string_view bytes) {
-  if (bytes[sizeof(kSegmentMagic)] != 1) {
-    return Status::ParseError("unsupported segment version");
-  }
-  Reader reader(bytes.substr(sizeof(kSegmentMagic) + 1));
-  TRIPS_ASSIGN_OR_RETURN(std::vector<std::string> table,
-                         DecodeStringTable(&reader));
-
-  // A sequence header costs at least 2 bytes (device + count varints).
-  uint64_t sequence_count = 0;
-  if (!reader.ReadVarint(&sequence_count) ||
-      sequence_count > reader.Remaining() / 2) {
-    return Status::ParseError("truncated segment body");
-  }
-  std::vector<core::MobilitySemanticsSequence> sequences;
-  sequences.reserve(static_cast<size_t>(sequence_count));
-  for (uint64_t i = 0; i < sequence_count; ++i) {
-    core::MobilitySemanticsSequence seq;
-    uint64_t device = 0, triplet_count = 0;
-    // A triplet costs at least 5 bytes (five varints).
-    if (!reader.ReadVarint(&device) || device >= table.size() ||
-        !reader.ReadVarint(&triplet_count) ||
-        triplet_count > reader.Remaining() / 5) {
-      return Status::ParseError("truncated segment sequence header");
-    }
-    seq.device_id = table[device];
-    seq.semantics.reserve(static_cast<size_t>(triplet_count));
-    TimestampMs prev_end = 0;
-    for (uint64_t j = 0; j < triplet_count; ++j) {
-      uint64_t event = 0, region = 0, name = 0, delta = 0, duration = 0;
-      if (!reader.ReadVarint(&event) || !reader.ReadVarint(&region) ||
-          !reader.ReadVarint(&name) || !reader.ReadVarint(&delta) ||
-          !reader.ReadVarint(&duration)) {
-        return Status::ParseError("truncated segment triplet");
-      }
-      core::MobilitySemantic s;
-      if (!BuildTriplet(table, event, region, name, delta, duration, &prev_end,
-                        &s)) {
-        return Status::ParseError("invalid triplet in segment");
-      }
-      seq.semantics.push_back(std::move(s));
-    }
-    sequences.push_back(std::move(seq));
-  }
-  if (!reader.Exhausted()) {
-    return Status::ParseError("trailing bytes after segment body");
-  }
-  return sequences;
 }
 
 // The fixed v2 footer fields, as laid out on disk.
@@ -252,38 +200,6 @@ uint64_t SegmentChecksum(std::string_view bytes) {
     h *= 1099511628211ull;  // FNV-1a 64 prime
   }
   return h;
-}
-
-std::string EncodeSegment(
-    const std::vector<core::MobilitySemanticsSequence>& sequences) {
-  StringTable table;
-  // Intern in the order the decoder will need them: a body pass first, so the
-  // table is complete before the header is laid down.
-  std::string body;
-  PutVarint(&body, sequences.size());
-  for (const core::MobilitySemanticsSequence& seq : sequences) {
-    PutVarint(&body, table.Intern(seq.device_id));
-    PutVarint(&body, seq.semantics.size());
-    TimestampMs prev_end = 0;
-    for (const core::MobilitySemantic& s : seq.semantics) {
-      PutVarint(&body, (table.Intern(s.event) << 1) | (s.inferred ? 1 : 0));
-      PutVarint(&body, ZigZag(s.region));
-      PutVarint(&body, table.Intern(s.region_name));
-      PutVarint(&body, ZigZag(s.range.begin - prev_end));
-      PutVarint(&body, ZigZag(s.range.Duration()));
-      prev_end = s.range.end;
-    }
-  }
-
-  std::string out(kSegmentMagic, sizeof(kSegmentMagic));
-  out.push_back(1);  // version
-  PutVarint(&out, table.strings().size());
-  for (const std::string& s : table.strings()) {
-    PutVarint(&out, s.size());
-    out += s;
-  }
-  out += body;
-  return out;
 }
 
 std::string EncodeSegmentV2(
@@ -485,67 +401,59 @@ Result<SegmentFooter> ReadSegmentFooter(std::string_view bytes) {
 
 Result<std::vector<core::MobilitySemanticsSequence>> DecodeSegment(
     std::string_view bytes) {
-  if (bytes.size() >= sizeof(kSegmentMagic) + 1 &&
-      std::memcmp(bytes.data(), kSegmentMagic, sizeof(kSegmentMagic)) == 0) {
-    return DecodeSegmentV1(bytes);
+  TRIPS_ASSIGN_OR_RETURN(RawFooter raw, ParseRawFooter(bytes));
+  if (SegmentChecksum(bytes.substr(0, bytes.size() - kFooterSize)) !=
+      raw.checksum) {
+    return Status::ParseError("v2 segment checksum mismatch");
   }
-  if (bytes.size() >= kHeaderSize + kFooterSize &&
-      std::memcmp(bytes.data(), kSegmentMagicV2, sizeof(kSegmentMagicV2)) == 0) {
-    TRIPS_ASSIGN_OR_RETURN(RawFooter raw, ParseRawFooter(bytes));
-    if (SegmentChecksum(bytes.substr(0, bytes.size() - kFooterSize)) !=
-        raw.checksum) {
-      return Status::ParseError("v2 segment checksum mismatch");
-    }
-    Reader table_reader(
-        bytes.substr(raw.string_table_off, raw.body_off - raw.string_table_off));
-    TRIPS_ASSIGN_OR_RETURN(std::vector<std::string> table,
-                           DecodeStringTable(&table_reader));
-    std::string_view body =
-        bytes.substr(raw.body_off, raw.seq_offsets_off - raw.body_off);
-    std::string_view offsets =
-        bytes.substr(raw.seq_offsets_off, raw.index_off - raw.seq_offsets_off);
+  Reader table_reader(
+      bytes.substr(raw.string_table_off, raw.body_off - raw.string_table_off));
+  TRIPS_ASSIGN_OR_RETURN(std::vector<std::string> table,
+                         DecodeStringTable(&table_reader));
+  std::string_view body =
+      bytes.substr(raw.body_off, raw.seq_offsets_off - raw.body_off);
+  std::string_view offsets =
+      bytes.substr(raw.seq_offsets_off, raw.index_off - raw.seq_offsets_off);
 
-    std::vector<core::MobilitySemanticsSequence> sequences;
-    sequences.reserve(static_cast<size_t>(raw.sequence_count));
-    for (uint64_t i = 0; i < raw.sequence_count; ++i) {
-      uint32_t off = GetFixed32(offsets.data() + i * 4);
-      if (off > body.size()) {
-        return Status::ParseError("corrupt v2 segment sequence offset");
-      }
-      Reader reader(body.substr(off));
-      core::MobilitySemanticsSequence seq;
-      uint64_t device = 0, triplet_count = 0;
-      // A triplet costs at least 5 bytes across its five columns.
-      if (!reader.ReadVarint(&device) || device >= table.size() ||
-          !reader.ReadVarint(&triplet_count) ||
-          triplet_count > reader.Remaining() / 5) {
-        return Status::ParseError("truncated v2 segment sequence header");
-      }
-      size_t n = static_cast<size_t>(triplet_count);
-      seq.device_id = table[device];
-      // Columns in layout order; events/regions/names/deltas/durations.
-      std::vector<uint64_t> events(n), regions(n), names(n), deltas(n),
-          durations(n);
-      for (auto* column : {&events, &regions, &names, &deltas, &durations}) {
-        for (size_t j = 0; j < n; ++j) {
-          if (!reader.ReadVarint(&(*column)[j])) {
-            return Status::ParseError("truncated v2 segment column");
-          }
-        }
-      }
-      seq.semantics.resize(n);
-      TimestampMs prev_end = 0;
-      for (size_t j = 0; j < n; ++j) {
-        if (!BuildTriplet(table, events[j], regions[j], names[j], deltas[j],
-                          durations[j], &prev_end, &seq.semantics[j])) {
-          return Status::ParseError("invalid triplet in v2 segment");
-        }
-      }
-      sequences.push_back(std::move(seq));
+  std::vector<core::MobilitySemanticsSequence> sequences;
+  sequences.reserve(static_cast<size_t>(raw.sequence_count));
+  for (uint64_t i = 0; i < raw.sequence_count; ++i) {
+    uint32_t off = GetFixed32(offsets.data() + i * 4);
+    if (off > body.size()) {
+      return Status::ParseError("corrupt v2 segment sequence offset");
     }
-    return sequences;
+    Reader reader(body.substr(off));
+    core::MobilitySemanticsSequence seq;
+    uint64_t device = 0, triplet_count = 0;
+    // A triplet costs at least 5 bytes across its five columns.
+    if (!reader.ReadVarint(&device) || device >= table.size() ||
+        !reader.ReadVarint(&triplet_count) ||
+        triplet_count > reader.Remaining() / 5) {
+      return Status::ParseError("truncated v2 segment sequence header");
+    }
+    size_t n = static_cast<size_t>(triplet_count);
+    seq.device_id = table[device];
+    // Columns in layout order; events/regions/names/deltas/durations.
+    std::vector<uint64_t> events(n), regions(n), names(n), deltas(n),
+        durations(n);
+    for (auto* column : {&events, &regions, &names, &deltas, &durations}) {
+      for (size_t j = 0; j < n; ++j) {
+        if (!reader.ReadVarint(&(*column)[j])) {
+          return Status::ParseError("truncated v2 segment column");
+        }
+      }
+    }
+    seq.semantics.resize(n);
+    TimestampMs prev_end = 0;
+    for (size_t j = 0; j < n; ++j) {
+      if (!BuildTriplet(table, events[j], regions[j], names[j], deltas[j],
+                        durations[j], &prev_end, &seq.semantics[j])) {
+        return Status::ParseError("invalid triplet in v2 segment");
+      }
+    }
+    sequences.push_back(std::move(seq));
   }
-  return Status::ParseError("not a TripStore segment (bad magic)");
+  return sequences;
 }
 
 }  // namespace trips::store

@@ -1,18 +1,14 @@
-// Binary segment codecs for the TripStore.
+// Binary segment codec for the TripStore.
 //
-// v1 ("TSG1") encodes a batch of mobility semantics sequences into one
-// compact, self-contained blob. Device ids, event names and region names are
-// interned into a per-segment string table; timestamps are delta-encoded
-// (begin as a zigzag delta from the previous triplet's end, end as a plain
-// duration), so the dominant cost per triplet is a handful of small varints
-// instead of two 8-byte timestamps and three strings. The encoding is
-// deterministic (first-appearance interning order), so decode(encode(x)) == x
-// structurally and encode(decode(b)) == b byte-for-byte on codec-produced
-// blobs. v1 must be decoded front to back — reading anything touches
-// everything.
-//
-// v2 ("TSG2") keeps the same interning/delta coding but lays the blob out for
-// memory-mapped, lazy reads:
+// A segment ("TSG2") encodes a batch of mobility semantics sequences into one
+// self-contained blob laid out for memory-mapped, lazy reads. Device ids,
+// event names and region names are interned into a per-segment string table;
+// timestamps are delta-encoded (begin as a zigzag delta from the previous
+// triplet's end, end as a plain duration), so the dominant cost per triplet
+// is a handful of small varints instead of two 8-byte timestamps and three
+// strings. The encoding is deterministic (first-appearance interning order),
+// so decode(encode(x)) == x structurally and encode(decode(b)) == b
+// byte-for-byte on codec-produced blobs.
 //
 //   [magic "TSG2"][version=2]
 //   [string table]            varint count, then (varint len, bytes)*
@@ -33,9 +29,10 @@
 //
 // A cold open therefore reads only the footer and index block (the tail
 // pages of the mapping); triplet columns are paged in on the first query
-// that actually materializes the segment. The two formats are query-
-// equivalent: DecodeSegment dispatches on the leading magic and yields the
-// same sequences for a v1 blob and its v2 re-encoding.
+// that actually materializes the segment, and the checksum over everything
+// before the footer is verified then. Blobs of the retired v1 format
+// ("TSG1", written before the footer existed) are rejected like any other
+// foreign bytes.
 #pragma once
 
 #include <cstdint>
@@ -49,17 +46,12 @@
 
 namespace trips::store {
 
-/// Leading bytes of every v1 encoded segment: magic + format version.
-inline constexpr char kSegmentMagic[4] = {'T', 'S', 'G', '1'};
-/// Leading bytes of every v2 encoded segment.
+/// Leading bytes of every encoded segment.
 inline constexpr char kSegmentMagicV2[4] = {'T', 'S', 'G', '2'};
-/// Trailing bytes of every v2 encoded segment (footer integrity mark).
+/// Trailing bytes of every encoded segment (footer integrity mark).
 inline constexpr char kSegmentFooterMagic[4] = {'F', '2', 'S', 'T'};
 
-/// Encodes `sequences` into one v1 segment blob.
-std::string EncodeSegment(const std::vector<core::MobilitySemanticsSequence>& sequences);
-
-/// Encodes `sequences` into one v2 (mmap-readable) segment blob.
+/// Encodes `sequences` into one (mmap-readable) segment blob.
 /// `base_ordinal` is the store-global append ordinal of sequences.front() at
 /// write time — a recovery hint that lets a manifest-less directory scan
 /// restore append order even after compaction renumbered the files.
@@ -67,13 +59,12 @@ std::string EncodeSegmentV2(
     const std::vector<core::MobilitySemanticsSequence>& sequences,
     uint64_t base_ordinal);
 
-/// Decodes a v1 or v2 segment blob in full (dispatches on the magic). Fails
-/// with ParseError on a foreign magic, an unknown version, a checksum
-/// mismatch (v2), or a truncated/corrupt body.
+/// Decodes a segment blob in full. Fails with ParseError on a foreign magic,
+/// an unknown version, a checksum mismatch, or a truncated/corrupt body.
 Result<std::vector<core::MobilitySemanticsSequence>> DecodeSegment(
     std::string_view bytes);
 
-/// The parsed footer + index block of a v2 segment — everything the store
+/// The parsed footer + index block of a segment — everything the store
 /// needs to index the segment without decoding the body columns.
 struct SegmentFooter {
   /// One region's postings contribution: sequence ordinal (within the
@@ -106,13 +97,13 @@ struct SegmentFooter {
   std::vector<FlowEntry> flow;
 };
 
-/// Parses the footer + index block of a v2 blob without touching the body
+/// Parses the footer + index block of a blob without touching the body
 /// columns (reads only the mapping's tail pages). Fails with ParseError on a
-/// v1 blob, a truncated footer, or a corrupt index block.
+/// foreign magic, a truncated footer, or a corrupt index block.
 Result<SegmentFooter> ReadSegmentFooter(std::string_view bytes);
 
-/// FNV-1a 64 over `bytes` — the integrity checksum stored in v2 footers and
-/// the store manifest.
+/// FNV-1a 64 over `bytes` — the integrity checksum stored in segment footers
+/// and the store manifest.
 uint64_t SegmentChecksum(std::string_view bytes);
 
 }  // namespace trips::store

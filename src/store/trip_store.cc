@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -99,14 +98,6 @@ void GrowSpan(TimeRange* span, bool* has_span, const TimeRange& range) {
   }
   span->begin = std::min(span->begin, range.begin);
   span->end = std::max(span->end, range.end);
-}
-
-// TRIPS_STORE_NO_MMAP (set, non-empty, not "0") forces the eager v1-style
-// read path — the parity reference for the mmap path and the escape hatch on
-// filesystems where mapping misbehaves.
-bool MmapDisabledByEnv() {
-  const char* value = std::getenv("TRIPS_STORE_NO_MMAP");
-  return value != nullptr && *value != '\0' && std::string_view(value) != "0";
 }
 
 // Writes `blob` to `path` via a temp name + rename, creating the parent
@@ -307,13 +298,9 @@ struct TripStore::StagedSegmentIndex {
 };
 
 struct TripStore::PendingLoad {
-  std::string file;       ///< path relative to the store directory
+  std::string file;  ///< path relative to the store directory
   MappedFile mapping;
-  bool v2 = false;
-  SegmentFooter footer;   ///< valid when v2
-  uint64_t checksum = 0;  ///< footer checksum (v2) or whole-blob FNV (v1)
-  std::vector<core::MobilitySemanticsSequence> decoded;  ///< v1 or eager v2
-  bool materialized = false;
+  SegmentFooter footer;
 };
 
 TripStore::TripStore(StoreOptions options)
@@ -336,6 +323,7 @@ TripStore::TripStore(StoreOptions options)
     metrics_.decode_errors = reg.counter("store.decode_errors");
     metrics_.dropped_segments = reg.counter("store.dropped_segments");
     metrics_.compactions = reg.counter("store.compactions");
+    metrics_.compaction_errors = reg.counter("store.compaction_errors");
     metrics_.compacted_segments = reg.counter("store.compacted_segments");
     metrics_.manifest_writes = reg.counter("store.manifest_writes");
   }
@@ -351,7 +339,6 @@ Result<std::unique_ptr<TripStore>> TripStore::Open(StoreOptions options) {
   if (options.segment_max_sequences == 0) {
     return Status::InvalidArgument("segment_max_sequences must be positive");
   }
-  if (MmapDisabledByEnv()) options.mmap = false;
   std::unique_ptr<TripStore> store(new TripStore(std::move(options)));
   if (!store->options_.directory.empty()) {
     std::error_code ec;
@@ -390,66 +377,32 @@ Result<TripStore::PendingLoad> TripStore::MapSegmentFile(
   std::filesystem::path abs =
       std::filesystem::path(options_.directory) / relative;
   TRIPS_ASSIGN_OR_RETURN(load.mapping, MappedFile::Map(abs.string()));
-  std::string_view view = load.mapping.view();
-  if (view.size() > sizeof(kSegmentMagic) &&
-      std::memcmp(view.data(), kSegmentMagic, sizeof(kSegmentMagic)) == 0) {
-    // Legacy v1 segment: no footer, so the only way in is a full decode.
-    TRIPS_ASSIGN_OR_RETURN(load.decoded, DecodeSegment(view));
-    load.checksum = SegmentChecksum(view);
-    load.materialized = true;
-    return load;
-  }
-  load.v2 = true;
-  TRIPS_ASSIGN_OR_RETURN(load.footer, ReadSegmentFooter(view));
-  load.checksum = load.footer.checksum;
-  if (!options_.mmap) {
-    // Eager parity path: decode (and checksum-verify) the body up front.
-    TRIPS_ASSIGN_OR_RETURN(load.decoded, DecodeSegment(view));
-    load.materialized = true;
-  }
+  TRIPS_ASSIGN_OR_RETURN(load.footer, ReadSegmentFooter(load.mapping.view()));
   return load;
 }
 
 void TripStore::AttachLoadedLocked(PendingLoad load) {
-  uint64_t count = load.v2 ? load.footer.sequence_count : load.decoded.size();
-  if (count == 0) return;  // empty segment files contribute nothing
-  {
-    auto segment = std::make_unique<Segment>();
-    segment->base = static_cast<SequenceId>(sequence_count_);
-    segment->sealed = true;
-    segment->persisted = true;
-    segment->file = std::move(load.file);
-    segment->checksum = load.checksum;
-    segments_.push_back(std::move(segment));
-  }
-  Segment& segment = *segments_.back();
-  if (metrics_.segments != nullptr) metrics_.segments->Add(1);
-  if (metrics_.persisted_segments != nullptr) {
-    metrics_.persisted_segments->Add(1);
-  }
-  if (!load.v2) {
-    // v1: indexed sequence by sequence, exactly like the legacy open path.
-    // Staged v2 footers (if any) must land first so per-region posting order
-    // stays global append order.
-    HydrateIndexesLocked();
-    for (core::MobilitySemanticsSequence& seq : load.decoded) {
-      AddToLastSegmentLocked(std::move(seq));
-    }
-    return;
-  }
-
   const SegmentFooter& footer = load.footer;
+  // Empty segment files contribute nothing.
+  if (footer.sequence_count == 0) return;
+  segments_.push_back(std::make_unique<Segment>());
+  Segment& segment = *segments_.back();
+  segment.base = static_cast<SequenceId>(sequence_count_);
+  segment.sealed = true;
+  segment.persisted = true;
+  segment.file = std::move(load.file);
+  segment.checksum = footer.checksum;
   segment.sequence_count = footer.sequence_count;
   segment.triplet_count = footer.triplet_count;
   segment.span = footer.span;
   segment.has_span = footer.has_span;
   segment.mapping = std::move(load.mapping);
-  if (load.materialized) {
-    segment.sequences = std::move(load.decoded);
-  } else {
-    segment.materialized.store(false, std::memory_order_relaxed);
-    if (metrics_.mapped_segments != nullptr) metrics_.mapped_segments->Add(1);
+  segment.materialized.store(false, std::memory_order_relaxed);
+  if (metrics_.segments != nullptr) metrics_.segments->Add(1);
+  if (metrics_.persisted_segments != nullptr) {
+    metrics_.persisted_segments->Add(1);
   }
+  if (metrics_.mapped_segments != nullptr) metrics_.mapped_segments->Add(1);
   if (segment.has_span) {
     segment.partition = PartitionBucket(segment.span.begin);
     NoteSegmentSpanLocked(segments_.size() - 1);
@@ -527,7 +480,7 @@ Status TripStore::LoadDirectoryLocked() {
     }
     Result<PendingLoad> load = MapSegmentFile(entry.file);
     if (!load.ok() ||
-        (entry.checksum != 0 && load->checksum != entry.checksum)) {
+        (entry.checksum != 0 && load->footer.checksum != entry.checksum)) {
       // Torn or missing segment despite being checkpointed: drop it and keep
       // the rest of the store readable. The file (if any) is left on disk
       // for forensics — it is referenced, so cleanup below spares it.
@@ -619,16 +572,11 @@ Status TripStore::ScanDirectoryLocked() {
     }
     loads.push_back(std::move(load).ValueOrDie());
   }
-  // Append order: legacy v1 files first in name order (their file index IS
-  // the append order), then v2 files by the base-ordinal hint their footers
-  // carry — which survives compaction renumbering the files.
+  // Append order: the base-ordinal hint each footer carries, which survives
+  // compaction renumbering the files.
   std::stable_sort(loads.begin(), loads.end(),
                    [](const PendingLoad& a, const PendingLoad& b) {
-                     if (a.v2 != b.v2) return !a.v2;
-                     if (a.v2) {
-                       return a.footer.base_ordinal < b.footer.base_ordinal;
-                     }
-                     return a.file < b.file;
+                     return a.footer.base_ordinal < b.footer.base_ordinal;
                    });
   for (PendingLoad& load : loads) AttachLoadedLocked(std::move(load));
   return Status::OK();
@@ -658,12 +606,13 @@ void TripStore::EnsureMaterialized(const Segment& segment) const {
       DecodeSegment(segment.mapping.view());
   if (decoded.ok()) {
     segment.sequences = std::move(decoded).ValueOrDie();
-  } else if (metrics_.decode_errors != nullptr) {
-    metrics_.decode_errors->Add(1);
+  } else {
+    segment.decode_failed = true;
+    if (metrics_.decode_errors != nullptr) metrics_.decode_errors->Add(1);
   }
   // A body that fails to decode after its footer validated at open (bit rot
   // under the mapping) degrades to empty sequences so queries stay well-
-  // defined; decode_errors is the signal.
+  // defined; decode_errors is the signal, and compaction never merges it.
   if (segment.sequences.size() != segment.sequence_count) {
     segment.sequences.resize(static_cast<size_t>(segment.sequence_count));
   }
@@ -877,9 +826,9 @@ bool TripStore::PrepareCompactionLocked(PendingCompaction* out) {
   candidates.reserve(segments_.size());
   for (size_t i = 0; i < segments_.size(); ++i) {
     const Segment& segment = *segments_[i];
-    candidates.push_back({i, segment.sequence_count,
-                          segment.has_span ? segment.partition : 0,
-                          segment.sealed && segment.persisted});
+    candidates.push_back(
+        {i, segment.sequence_count, segment.has_span ? segment.partition : 0,
+         segment.sealed && segment.persisted && !segment.decode_failed});
   }
   CompactionPlan plan =
       PlanCompaction(candidates, options_.segment_max_sequences,
@@ -904,6 +853,11 @@ Status TripStore::ExecuteCompaction(const PendingCompaction& pending) {
     for (size_t i = pending.begin; i < pending.end; ++i) {
       const Segment& segment = *segments_[i];
       EnsureMaterialized(segment);
+      // Merging placeholders would replace a corrupt file with a valid one.
+      if (segment.decode_failed) {
+        return Status::ParseError("cannot merge segment " + segment.file +
+                                  ": its body fails to decode");
+      }
       merged.insert(merged.end(), segment.sequences.begin(),
                     segment.sequences.end());
     }
@@ -976,8 +930,11 @@ void TripStore::CompactionWorker() {
     status = ExecuteCompaction(pending);
     if (!status.ok()) break;  // same plan would fail the same way; stop
   }
+  if (!status.ok() && metrics_.compaction_errors != nullptr) {
+    metrics_.compaction_errors->Add(1);
+  }
   std::lock_guard<std::mutex> lock(compaction_mu_);
-  if (!status.ok()) compaction_error_ = status;
+  if (compaction_error_.ok()) compaction_error_ = status;
   compaction_inflight_ = false;
   // Notify under the lock: once a waiter (possibly ~TripStore) observes the
   // flag it may destroy the condition variable.
@@ -985,14 +942,10 @@ void TripStore::CompactionWorker() {
 }
 
 Status TripStore::Compact() {
-  {
-    std::lock_guard<std::mutex> lock(compaction_mu_);
-    compaction_error_ = Status::OK();
-  }
   MaybeScheduleCompaction(/*force=*/true);
   WaitForCompaction();
   std::lock_guard<std::mutex> lock(compaction_mu_);
-  return compaction_error_;
+  return std::exchange(compaction_error_, Status::OK());
 }
 
 void TripStore::WaitForCompaction() const {

@@ -22,15 +22,17 @@
 // footer + index block — device postings, region postings with time fences,
 // per-segment spans and the flow matrix are all rebuilt from footers without
 // decoding a single triplet column. A segment's body is materialized lazily
-// on the first query that touches it, and cached. Legacy v1 segments (flat
-// directory, no manifest) are still opened via a full eager decode.
+// on the first query that touches it, and cached. A file that does not parse
+// as a segment (torn, foreign, or the retired v1 format) is dropped on open.
 //
 // Background compaction merges runs of small adjacent sealed segments of one
 // partition into full segments on the worker pool (inline with zero
 // workers). Only adjacent segments merge, so sequence ids, index postings
 // and every query result are byte-identical across compactions; the manifest
 // is rewritten before the merged inputs are deleted, so a crash at any point
-// reopens to a consistent checkpoint.
+// reopens to a consistent checkpoint. A merge whose input body fails to
+// decode writes nothing and keeps that input; a failed background merge is
+// counted and reported by the next Compact().
 //
 // Thread-safety: all public methods are internally synchronized (appends
 // exclusive, queries shared), so one store can be fed from several stream
@@ -65,14 +67,9 @@ struct StoreOptions {
   std::string directory;
   /// Sequences per segment before the active segment is sealed.
   size_t segment_max_sequences = 256;
-  /// Worker threads for segment-parallel scans, Open-time decoding and
-  /// background compaction (0 = everything on the calling thread).
+  /// Worker threads for segment-parallel scans and background compaction
+  /// (0 = everything on the calling thread).
   size_t worker_threads = 0;
-  /// Memory-map sealed segments and materialize their bodies lazily on first
-  /// touch. false: eager v1-style open (read + decode everything up front) —
-  /// the parity reference for the mmap path. The TRIPS_STORE_NO_MMAP
-  /// environment variable (any value but "0") forces false.
-  bool mmap = true;
   /// Width of one time-partition directory ("part-<bucket>/"). <= 0: flat
   /// layout, every segment in the directory root, no partition pruning.
   DurationMs partition_ms = kMillisPerDay;
@@ -167,7 +164,8 @@ class TripStore {
 
   /// Synchronously merges small adjacent sealed segments until no eligible
   /// run remains (regardless of options.compaction). Returns the first
-  /// error; already-applied merges stay applied.
+  /// failure not yet reported — one from an earlier background pass, else
+  /// this pass's; already-applied merges stay applied.
   Status Compact();
 
   /// Blocks until the background compaction pass in flight (if any) has
@@ -247,6 +245,9 @@ class TripStore {
     // different segments concurrently.
     mutable std::vector<core::MobilitySemanticsSequence> sequences;
     mutable std::atomic<bool> materialized{true};
+    /// The body failed to decode: `sequences` are placeholders, so the
+    /// segment is never merged. Written before `materialized` turns true.
+    mutable bool decode_failed = false;
     mutable std::mutex mat_mu;
   };
   /// Region posting: one stored sequence visiting the region, with the union
@@ -310,13 +311,14 @@ class TripStore {
     obs::Counter* decode_errors = nullptr;     ///< bodies that failed to decode
     obs::Counter* dropped_segments = nullptr;  ///< corrupt segments skipped at Open
     obs::Counter* compactions = nullptr;       ///< merges applied
+    obs::Counter* compaction_errors = nullptr;  ///< merges that failed
     obs::Counter* compacted_segments = nullptr;  ///< inputs consumed by merges
     obs::Counter* manifest_writes = nullptr;
   };
 
   explicit TripStore(StoreOptions options);
 
-  struct PendingLoad;  // one pre-validated segment file during Open
+  struct PendingLoad;  // one mapped segment file during Open
 
   int64_t PartitionBucket(TimestampMs t) const;
   std::string PartitionedFileName(int64_t partition, size_t file_index) const;
@@ -390,7 +392,7 @@ class TripStore {
   mutable std::mutex compaction_mu_;
   mutable std::condition_variable compaction_cv_;
   bool compaction_inflight_ = false;
-  Status compaction_error_;  ///< first failure of the current/last pass
+  Status compaction_error_;  ///< first failure not yet returned by Compact
 };
 
 }  // namespace trips::store

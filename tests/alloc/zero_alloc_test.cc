@@ -160,7 +160,10 @@ TEST_F(ZeroAllocDsmTest, EventClassifierIdentifyWithATrainedForest) {
   ASSERT_TRUE(classifier.Train(corpus).ok());
   ASSERT_EQ(classifier.model()->Name(), "random_forest");
   for (const config::LabeledSegment& seg : corpus) {
-    const annotation::FeatureVector f = annotation::ExtractFeatures(seg.segment);
+    const positioning::RecordBlock block =
+        positioning::RecordBlock::FromSequence(seg.segment);
+    const annotation::FeatureVector f =
+        annotation::ExtractFeatures(block, 0, block.Size());
     std::string event;
     ASSERT_EQ(AllocationsAfterWarmUp([&] { event = classifier.Identify(f); }), 0u)
         << "segment labelled " << seg.event;

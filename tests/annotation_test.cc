@@ -9,7 +9,13 @@
 namespace trips::annotation {
 namespace {
 
-using positioning::PositioningSequence;
+using positioning::RecordBlock;
+
+// Features of a whole labeled segment, through its block form.
+FeatureVector SegmentFeatures(const config::LabeledSegment& seg) {
+  RecordBlock block = RecordBlock::FromSequence(seg.segment);
+  return ExtractFeatures(block, 0, block.Size());
+}
 
 class AnnotationFixture : public ::testing::Test {
  protected:
@@ -49,14 +55,14 @@ class AnnotationFixture : public ::testing::Test {
 TEST_F(AnnotationFixture, SpatialMatcherFindsTheRegion) {
   const dsm::SemanticRegion* adidas = dsm_->FindRegionByName("Adidas");
   ASSERT_NE(adidas, nullptr);
-  PositioningSequence seq;
+  RecordBlock seq;
   geo::Point2 c = adidas->Center();
   for (int i = 0; i < 20; ++i) {
-    seq.records.emplace_back(c.x + 0.1 * i, c.y, adidas->floor,
+    seq.Append(c.x + 0.1 * i, c.y, adidas->floor,
                              static_cast<TimestampMs>(i) * 3000);
   }
   SpatialMatcher matcher(dsm_.get());
-  SpatialMatch match = matcher.Match(seq, 0, seq.records.size());
+  SpatialMatch match = matcher.Match(seq, 0, seq.Size());
   EXPECT_EQ(match.region, adidas->id);
   EXPECT_EQ(match.region_name, "Adidas");
   EXPECT_GT(match.coverage, 0.95);
@@ -66,28 +72,28 @@ TEST_F(AnnotationFixture, SpatialMatcherMajorityWins) {
   // 1/4 of the time in the corridor, 3/4 in a shop.
   const dsm::SemanticRegion* shop = dsm_->FindRegionByName("Nike");
   ASSERT_NE(shop, nullptr);
-  PositioningSequence seq;
+  RecordBlock seq;
   geo::Point2 c = shop->Center();
   for (int i = 0; i < 5; ++i) {
-    seq.records.emplace_back(50, 30, shop->floor, static_cast<TimestampMs>(i) * 3000);
+    seq.Append(50, 30, shop->floor, static_cast<TimestampMs>(i) * 3000);
   }
   for (int i = 5; i < 20; ++i) {
-    seq.records.emplace_back(c.x, c.y, shop->floor, static_cast<TimestampMs>(i) * 3000);
+    seq.Append(c.x, c.y, shop->floor, static_cast<TimestampMs>(i) * 3000);
   }
   SpatialMatcher matcher(dsm_.get());
-  SpatialMatch match = matcher.Match(seq, 0, seq.records.size());
+  SpatialMatch match = matcher.Match(seq, 0, seq.Size());
   EXPECT_EQ(match.region, shop->id);
   EXPECT_NEAR(match.coverage, 0.75, 0.1);
 }
 
 TEST_F(AnnotationFixture, SpatialMatcherRejectsLowCoverage) {
-  PositioningSequence seq;
+  RecordBlock seq;
   // Records outside every region (wall gap).
   for (int i = 0; i < 10; ++i) {
-    seq.records.emplace_back(13, 58.5, 0, static_cast<TimestampMs>(i) * 3000);
+    seq.Append(13, 58.5, 0, static_cast<TimestampMs>(i) * 3000);
   }
   SpatialMatcher matcher(dsm_.get(), {.min_coverage = 0.5});
-  SpatialMatch match = matcher.Match(seq, 0, seq.records.size());
+  SpatialMatch match = matcher.Match(seq, 0, seq.Size());
   EXPECT_EQ(match.region, dsm::kInvalidRegion);
   // Empty slice.
   EXPECT_EQ(matcher.Match(seq, 5, 5).region, dsm::kInvalidRegion);
@@ -127,7 +133,7 @@ TEST_F(AnnotationFixture, ClassifierTrainsAndBeatsChance) {
   std::vector<config::LabeledSegment> test = CollectTraining(4, 99);
   size_t hits = 0;
   for (const config::LabeledSegment& seg : test) {
-    FeatureVector f = ExtractFeatures(seg.segment);
+    FeatureVector f = SegmentFeatures(seg);
     if (classifier.Identify(f) == seg.event) ++hits;
   }
   double acc = static_cast<double>(hits) / static_cast<double>(test.size());
@@ -151,7 +157,7 @@ TEST_F(AnnotationFixture, ConfidenceThresholdYieldsUnknown) {
   EventClassifier classifier({.model = ModelKind::kRandomForest,
                               .min_confidence = 1.01});  // unreachable bar
   ASSERT_TRUE(classifier.Train(train).ok());
-  FeatureVector f = ExtractFeatures(train[0].segment);
+  FeatureVector f = SegmentFeatures(train[0]);
   EXPECT_EQ(classifier.Identify(f), core::kEventUnknown);
 }
 
@@ -163,7 +169,8 @@ TEST_F(AnnotationFixture, AnnotatorProducesOrderedTriplets) {
 
   EventClassifier classifier;  // untrained -> rule-based
   Annotator annotator(dsm_.get(), &classifier);
-  core::MobilitySemanticsSequence result = annotator.Annotate(dev->truth);
+  core::MobilitySemanticsSequence result =
+      annotator.Annotate(RecordBlock::FromSequence(dev->truth));
   ASSERT_FALSE(result.Empty());
   EXPECT_EQ(result.device_id, "shopper");
   for (size_t i = 0; i < result.semantics.size(); ++i) {
@@ -186,7 +193,8 @@ TEST_F(AnnotationFixture, AnnotatorMergesAdjacentEqualTriplets) {
   AnnotatorOptions opt;
   opt.merge_adjacent = true;
   Annotator annotator(dsm_.get(), &classifier, opt);
-  core::MobilitySemanticsSequence merged = annotator.Annotate(dev->truth);
+  core::MobilitySemanticsSequence merged =
+      annotator.Annotate(RecordBlock::FromSequence(dev->truth));
   for (size_t i = 1; i < merged.semantics.size(); ++i) {
     EXPECT_FALSE(merged.semantics[i].event == merged.semantics[i - 1].event &&
                  merged.semantics[i].region == merged.semantics[i - 1].region)
@@ -205,7 +213,8 @@ TEST_F(AnnotationFixture, TrainedAnnotatorRecoversGroundTruthRegions) {
   ASSERT_TRUE(dev.ok());
 
   Annotator annotator(dsm_.get(), &classifier);
-  core::MobilitySemanticsSequence predicted = annotator.Annotate(dev->truth);
+  core::MobilitySemanticsSequence predicted =
+      annotator.Annotate(RecordBlock::FromSequence(dev->truth));
   core::SemanticsAgreement agreement =
       core::CompareSemantics(dev->semantics, predicted);
   // On noiseless data the regions should be recovered almost perfectly and
@@ -220,7 +229,8 @@ TEST_F(AnnotationFixture, StopMoveBaselineProducesOnlyTwoEvents) {
   auto dev = gen.GenerateDevice("b", 0, &rng);
   ASSERT_TRUE(dev.ok());
   StopMoveBaseline baseline(dsm_.get());
-  core::MobilitySemanticsSequence result = baseline.Annotate(dev->truth);
+  core::MobilitySemanticsSequence result =
+      baseline.Annotate(RecordBlock::FromSequence(dev->truth));
   ASSERT_FALSE(result.Empty());
   for (const core::MobilitySemantic& s : result.semantics) {
     EXPECT_TRUE(s.event == core::kEventStay || s.event == core::kEventPassBy);

@@ -370,7 +370,9 @@ TEST(EventClassifierTest, LabelsMatchTreeAverageOnCorpus) {
     const auto* forest = dynamic_cast<const RandomForest*>(c->model());
     ASSERT_NE(forest, nullptr);
     for (const config::LabeledSegment& seg : corpus) {
-      FeatureVector f = ExtractFeatures(seg.segment);
+      positioning::RecordBlock block =
+          positioning::RecordBlock::FromSequence(seg.segment);
+      FeatureVector f = ExtractFeatures(block, 0, block.Size());
       std::vector<double> ref = TreeAverage(*forest, Sample(f.begin(), f.end()));
       size_t best = static_cast<size_t>(std::max_element(ref.begin(), ref.end()) -
                                         ref.begin());

@@ -6,22 +6,27 @@
 namespace trips::annotation {
 namespace {
 
-using positioning::PositioningSequence;
+using positioning::RecordBlock;
 
-PositioningSequence StraightWalk(int n, double speed_mps, DurationMs step_ms) {
-  PositioningSequence seq;
+// Features of a whole block.
+FeatureVector Features(const RecordBlock& block) {
+  return ExtractFeatures(block, 0, block.Size());
+}
+
+RecordBlock StraightWalk(int n, double speed_mps, DurationMs step_ms) {
+  RecordBlock seq;
   double step_m = speed_mps * step_ms / 1000.0;
   for (int i = 0; i < n; ++i) {
-    seq.records.emplace_back(i * step_m, 0.0, 0, static_cast<TimestampMs>(i) * step_ms);
+    seq.Append(i * step_m, 0.0, 0, static_cast<TimestampMs>(i) * step_ms);
   }
   return seq;
 }
 
-PositioningSequence Stationary(int n, double jitter, uint64_t seed = 1) {
-  PositioningSequence seq;
+RecordBlock Stationary(int n, double jitter, uint64_t seed = 1) {
+  RecordBlock seq;
   Rng rng(seed);
   for (int i = 0; i < n; ++i) {
-    seq.records.emplace_back(10 + rng.Gaussian(0, jitter), 5 + rng.Gaussian(0, jitter),
+    seq.Append(10 + rng.Gaussian(0, jitter), 5 + rng.Gaussian(0, jitter),
                              0, static_cast<TimestampMs>(i) * 3000);
   }
   return seq;
@@ -32,20 +37,20 @@ TEST(FeaturesTest, NamesMatchCount) {
 }
 
 TEST(FeaturesTest, EmptyAndSingleton) {
-  PositioningSequence empty;
-  FeatureVector f = ExtractFeatures(empty);
+  RecordBlock empty;
+  FeatureVector f = Features(empty);
   for (double v : f) EXPECT_DOUBLE_EQ(v, 0);
 
-  PositioningSequence one;
-  one.records.emplace_back(1, 2, 0, 0);
-  f = ExtractFeatures(one);
+  RecordBlock one;
+  one.Append(1, 2, 0, 0);
+  f = Features(one);
   EXPECT_DOUBLE_EQ(f[kRecordCount], 1);
   EXPECT_DOUBLE_EQ(f[kDurationS], 0);
 }
 
 TEST(FeaturesTest, StraightWalkFeatures) {
   // 1.5 m/s for 30 steps of 2 s.
-  FeatureVector f = ExtractFeatures(StraightWalk(31, 1.5, 2000));
+  FeatureVector f = Features(StraightWalk(31, 1.5, 2000));
   EXPECT_DOUBLE_EQ(f[kRecordCount], 31);
   EXPECT_DOUBLE_EQ(f[kDurationS], 60);
   EXPECT_NEAR(f[kTravelDistance], 90, 1e-9);
@@ -60,7 +65,7 @@ TEST(FeaturesTest, StraightWalkFeatures) {
 }
 
 TEST(FeaturesTest, StationaryFeatures) {
-  FeatureVector f = ExtractFeatures(Stationary(40, 0.3));
+  FeatureVector f = Features(Stationary(40, 0.3));
   EXPECT_LT(f[kMeanSpeed], 0.3);
   EXPECT_LT(f[kCoveringRange], 4.0);
   EXPECT_LT(f[kLocationVariance], 1.0);
@@ -69,8 +74,8 @@ TEST(FeaturesTest, StationaryFeatures) {
 }
 
 TEST(FeaturesTest, StationaryVsWalkSeparable) {
-  FeatureVector walk = ExtractFeatures(StraightWalk(40, 1.4, 3000));
-  FeatureVector stay = ExtractFeatures(Stationary(40, 0.3, 2));
+  FeatureVector walk = Features(StraightWalk(40, 1.4, 3000));
+  FeatureVector stay = Features(Stationary(40, 0.3, 2));
   EXPECT_GT(walk[kMeanSpeed], stay[kMeanSpeed] * 3);
   EXPECT_GT(walk[kCoveringRange], stay[kCoveringRange] * 5);
   EXPECT_GT(walk[kStraightness], stay[kStraightness]);
@@ -78,7 +83,7 @@ TEST(FeaturesTest, StationaryVsWalkSeparable) {
 
 TEST(FeaturesTest, TurnsCounted) {
   // A zig-zag path: right, up, right, up...
-  PositioningSequence zig;
+  RecordBlock zig;
   double x = 0, y = 0;
   for (int i = 0; i < 20; ++i) {
     if (i % 2 == 0) {
@@ -86,25 +91,25 @@ TEST(FeaturesTest, TurnsCounted) {
     } else {
       y += 3;
     }
-    zig.records.emplace_back(x, y, 0, static_cast<TimestampMs>(i) * 3000);
+    zig.Append(x, y, 0, static_cast<TimestampMs>(i) * 3000);
   }
-  FeatureVector f = ExtractFeatures(zig);
+  FeatureVector f = Features(zig);
   EXPECT_GE(f[kTurnCount], 15);  // turn at almost every step
   EXPECT_GT(f[kTurnRate], 10);   // turns per minute
   EXPECT_LT(f[kStraightness], 0.9);
 }
 
 TEST(FeaturesTest, FloorChangesCounted) {
-  PositioningSequence seq;
+  RecordBlock seq;
   for (int i = 0; i < 10; ++i) {
-    seq.records.emplace_back(0, 0, i < 5 ? 0 : 1, static_cast<TimestampMs>(i) * 3000);
+    seq.Append(0, 0, i < 5 ? 0 : 1, static_cast<TimestampMs>(i) * 3000);
   }
-  FeatureVector f = ExtractFeatures(seq);
+  FeatureVector f = Features(seq);
   EXPECT_DOUBLE_EQ(f[kFloorChanges], 1);
 }
 
 TEST(FeaturesTest, SubrangeExtraction) {
-  PositioningSequence seq = StraightWalk(30, 1.0, 1000);
+  RecordBlock seq = StraightWalk(30, 1.0, 1000);
   FeatureVector f = ExtractFeatures(seq, 10, 20);
   EXPECT_DOUBLE_EQ(f[kRecordCount], 10);
   EXPECT_DOUBLE_EQ(f[kDurationS], 9);
@@ -118,11 +123,11 @@ TEST(FeaturesTest, SubrangeExtraction) {
 }
 
 TEST(FeaturesTest, CoTimestampedRecordsNoInfiniteSpeed) {
-  PositioningSequence seq;
-  seq.records.emplace_back(0, 0, 0, 1000);
-  seq.records.emplace_back(5, 0, 0, 1000);  // same timestamp
-  seq.records.emplace_back(6, 0, 0, 2000);
-  FeatureVector f = ExtractFeatures(seq);
+  RecordBlock seq;
+  seq.Append(0, 0, 0, 1000);
+  seq.Append(5, 0, 0, 1000);  // same timestamp
+  seq.Append(6, 0, 0, 2000);
+  FeatureVector f = Features(seq);
   EXPECT_TRUE(std::isfinite(f[kMeanSpeed]));
   EXPECT_TRUE(std::isfinite(f[kMaxStepSpeed]));
 }

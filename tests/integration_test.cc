@@ -94,9 +94,10 @@ TEST_F(SessionReuseFixture, FullPersistAndReloadRoundTrip) {
   ASSERT_TRUE(planner2.ok());
   cleaning::RawDataCleaner cleaner2(&mall2.ValueOrDie(), &planner2.ValueOrDie(),
                                     core::DefaultPipelineCleanerOptions());
-  core::MobilitySemanticsSequence sem1 = annotator1.Annotate(cleaner1.Clean(raw));
-  core::MobilitySemanticsSequence sem2 =
-      annotator2.Annotate(cleaner2.Clean((*raw2)[0]));
+  core::MobilitySemanticsSequence sem1 = annotator1.Annotate(
+      positioning::RecordBlock::FromSequence(cleaner1.Clean(raw)));
+  core::MobilitySemanticsSequence sem2 = annotator2.Annotate(
+      positioning::RecordBlock::FromSequence(cleaner2.Clean((*raw2)[0])));
   ASSERT_EQ(sem1.Size(), sem2.Size());
   for (size_t i = 0; i < sem1.Size(); ++i) {
     EXPECT_EQ(sem1.semantics[i].event, sem2.semantics[i].event) << i;

@@ -150,9 +150,14 @@ TEST(ModelIoTest, EventClassifierFileRoundTrip) {
   EXPECT_TRUE(loaded->trained());
   EXPECT_EQ(loaded->event_names(), classifier.event_names());
   // Same predictions on fresh segments.
+  positioning::RecordBlock block;
+  auto features = [&block](const config::LabeledSegment& seg) {
+    block.AssignFrom(seg.segment);
+    return ExtractFeatures(block, 0, block.Size());
+  };
   for (int i = 0; i < 5; ++i) {
-    FeatureVector stay = ExtractFeatures(Segment("x", 0.02, 900 + i).segment);
-    FeatureVector pass = ExtractFeatures(Segment("x", 1.3, 950 + i).segment);
+    FeatureVector stay = features(Segment("x", 0.02, 900 + i));
+    FeatureVector pass = features(Segment("x", 1.3, 950 + i));
     EXPECT_EQ(loaded->Identify(stay), classifier.Identify(stay));
     EXPECT_EQ(loaded->Identify(pass), classifier.Identify(pass));
     EXPECT_EQ(loaded->Identify(stay), "stay");

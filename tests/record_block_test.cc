@@ -7,9 +7,6 @@
 #include <memory>
 #include <vector>
 
-#include "annotation/features.h"
-#include "annotation/spatial_matcher.h"
-#include "annotation/splitter.h"
 #include "cleaning/cleaner.h"
 #include "core/service.h"
 #include "dsm/sample_spaces.h"
@@ -217,38 +214,6 @@ TEST_F(RecordBlockFixture, SnapIfOutsideMatchesPairedCalls) {
     }
   }
   dsm_->set_spatial_index_enabled(true);
-}
-
-TEST_F(RecordBlockFixture, AnnotationLayerColumnarParity) {
-  CleanerOptions opt;
-  opt.smoothing_window = 3;
-  RawDataCleaner cleaner(dsm_.get(), planner_.get(), opt);
-  PositioningSequence cleaned = cleaner.Clean(NoisyWalk(400, 13));
-  RecordBlock block = RecordBlock::FromSequence(cleaned);
-
-  std::vector<annotation::Snippet> aos_snips = annotation::SplitSequence(cleaned);
-  std::vector<annotation::Snippet> soa_snips = annotation::SplitSequence(block);
-  ASSERT_EQ(aos_snips.size(), soa_snips.size());
-  annotation::SpatialMatcher matcher(dsm_.get());
-  for (size_t i = 0; i < aos_snips.size(); ++i) {
-    EXPECT_EQ(aos_snips[i].begin, soa_snips[i].begin);
-    EXPECT_EQ(aos_snips[i].end, soa_snips[i].end);
-    EXPECT_EQ(aos_snips[i].dense, soa_snips[i].dense);
-
-    annotation::FeatureVector fa =
-        annotation::ExtractFeatures(cleaned, aos_snips[i].begin, aos_snips[i].end);
-    annotation::FeatureVector fb =
-        annotation::ExtractFeatures(block, soa_snips[i].begin, soa_snips[i].end);
-    EXPECT_EQ(fa, fb);
-
-    annotation::SpatialMatch ma =
-        matcher.Match(cleaned, aos_snips[i].begin, aos_snips[i].end);
-    annotation::SpatialMatch mb =
-        matcher.Match(block, soa_snips[i].begin, soa_snips[i].end);
-    EXPECT_EQ(ma.region, mb.region);
-    EXPECT_EQ(ma.region_name, mb.region_name);
-    EXPECT_EQ(ma.coverage, mb.coverage);
-  }
 }
 
 // Full-pipeline byte-identity: the Service's batch output must not depend on

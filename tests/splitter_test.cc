@@ -14,51 +14,50 @@
 namespace trips::annotation {
 namespace {
 
-using positioning::PositioningSequence;
 using positioning::RecordBlock;
 
 // Builds: walk (n_walk steps of 3 m/3 s) -> dwell (n_dwell samples jittering
 // around a point) -> walk again.
-PositioningSequence WalkDwellWalk(int n_walk, int n_dwell, uint64_t seed = 1) {
-  PositioningSequence seq;
-  seq.device_id = "d";
+RecordBlock WalkDwellWalk(int n_walk, int n_dwell, uint64_t seed = 1) {
+  RecordBlock block;
+  block.device_id = "d";
   Rng rng(seed);
   TimestampMs t = 0;
   double x = 0;
   for (int i = 0; i < n_walk; ++i, t += 3000, x += 3.0) {
-    seq.records.emplace_back(x, 0.0, 0, t);
+    block.Append(x, 0.0, 0, t);
   }
   for (int i = 0; i < n_dwell; ++i, t += 3000) {
-    seq.records.emplace_back(x + rng.Gaussian(0, 0.4), rng.Gaussian(0, 0.4), 0, t);
+    block.Append(x + rng.Gaussian(0, 0.4), rng.Gaussian(0, 0.4), 0, t);
   }
   for (int i = 0; i < n_walk; ++i, t += 3000, x += 3.0) {
-    seq.records.emplace_back(x, 0.0, 0, t);
+    block.Append(x, 0.0, 0, t);
   }
-  return seq;
+  return block;
 }
 
 TEST(SplitterTest, EmptyAndTinySequences) {
-  PositioningSequence empty;
+  RecordBlock empty;
   EXPECT_TRUE(SplitSequence(empty).empty());
-  PositioningSequence one;
-  one.records.emplace_back(0, 0, 0, 0);
+  RecordBlock one;
+  one.Append(0, 0, 0, 0);
   EXPECT_TRUE(SplitSequence(one).empty());
 }
 
 TEST(SplitterTest, SnippetsPartitionTheSequence) {
-  PositioningSequence seq = WalkDwellWalk(15, 30);
-  std::vector<Snippet> snippets = SplitSequence(seq);
+  RecordBlock block = WalkDwellWalk(15, 30);
+  std::vector<Snippet> snippets = SplitSequence(block);
   ASSERT_FALSE(snippets.empty());
   EXPECT_EQ(snippets.front().begin, 0u);
-  EXPECT_EQ(snippets.back().end, seq.records.size());
+  EXPECT_EQ(snippets.back().end, block.Size());
   for (size_t i = 1; i < snippets.size(); ++i) {
     EXPECT_EQ(snippets[i].begin, snippets[i - 1].end);
   }
 }
 
 TEST(SplitterTest, DwellBecomesDenseSnippet) {
-  PositioningSequence seq = WalkDwellWalk(15, 40);
-  std::vector<Snippet> snippets = SplitSequence(seq);
+  RecordBlock block = WalkDwellWalk(15, 40);
+  std::vector<Snippet> snippets = SplitSequence(block);
   // Expect at least one dense snippet covering most of the dwell.
   bool found_dense = false;
   for (const Snippet& s : snippets) {
@@ -74,12 +73,12 @@ TEST(SplitterTest, DwellBecomesDenseSnippet) {
 }
 
 TEST(SplitterTest, PureWalkYieldsNoDenseCluster) {
-  PositioningSequence seq;
+  RecordBlock block;
   for (int i = 0; i < 60; ++i) {
-    seq.records.emplace_back(i * 3.0, 0.0, 0, static_cast<TimestampMs>(i) * 3000);
+    block.Append(i * 3.0, 0.0, 0, static_cast<TimestampMs>(i) * 3000);
   }
   std::vector<Snippet> snippets =
-      SplitSequence(seq, {.eps_space = 3.0,
+      SplitSequence(block, {.eps_space = 3.0,
                           .eps_time = 90 * kMillisPerSecond,
                           .min_pts = 4,
                           .min_snippet = 0});
@@ -89,8 +88,8 @@ TEST(SplitterTest, PureWalkYieldsNoDenseCluster) {
 }
 
 TEST(SplitterTest, PureDwellYieldsOneDenseCluster) {
-  PositioningSequence seq = WalkDwellWalk(0, 50);
-  std::vector<Snippet> snippets = SplitSequence(seq);
+  RecordBlock block = WalkDwellWalk(0, 50);
+  std::vector<Snippet> snippets = SplitSequence(block);
   ASSERT_EQ(snippets.size(), 1u);
   EXPECT_TRUE(snippets[0].dense);
   EXPECT_EQ(snippets[0].Size(), 50u);
@@ -98,21 +97,21 @@ TEST(SplitterTest, PureDwellYieldsOneDenseCluster) {
 
 TEST(SplitterTest, TwoSeparatedDwellsSplit) {
   // dwell A -> walk -> dwell B (far away).
-  PositioningSequence seq;
+  RecordBlock block;
   Rng rng(3);
   TimestampMs t = 0;
   for (int i = 0; i < 30; ++i, t += 3000) {
-    seq.records.emplace_back(rng.Gaussian(0, 0.3), rng.Gaussian(0, 0.3), 0, t);
+    block.Append(rng.Gaussian(0, 0.3), rng.Gaussian(0, 0.3), 0, t);
   }
   double x = 0;
   for (int i = 0; i < 20; ++i, t += 3000) {
     x += 3.0;
-    seq.records.emplace_back(x, 0.0, 0, t);
+    block.Append(x, 0.0, 0, t);
   }
   for (int i = 0; i < 30; ++i, t += 3000) {
-    seq.records.emplace_back(x + rng.Gaussian(0, 0.3), rng.Gaussian(0, 0.3), 0, t);
+    block.Append(x + rng.Gaussian(0, 0.3), rng.Gaussian(0, 0.3), 0, t);
   }
-  std::vector<Snippet> snippets = SplitSequence(seq);
+  std::vector<Snippet> snippets = SplitSequence(block);
   int dense_count = 0;
   for (const Snippet& s : snippets) {
     if (s.dense && s.Size() >= 20) ++dense_count;
@@ -122,16 +121,16 @@ TEST(SplitterTest, TwoSeparatedDwellsSplit) {
 
 TEST(SplitterTest, FloorSeparatesNeighbourhoods) {
   // Same planar dwell on two floors back-to-back: clusters must not merge.
-  PositioningSequence seq;
+  RecordBlock block;
   Rng rng(4);
   TimestampMs t = 0;
   for (int i = 0; i < 25; ++i, t += 3000) {
-    seq.records.emplace_back(rng.Gaussian(0, 0.3), rng.Gaussian(0, 0.3), 0, t);
+    block.Append(rng.Gaussian(0, 0.3), rng.Gaussian(0, 0.3), 0, t);
   }
   for (int i = 0; i < 25; ++i, t += 3000) {
-    seq.records.emplace_back(rng.Gaussian(0, 0.3), rng.Gaussian(0, 0.3), 1, t);
+    block.Append(rng.Gaussian(0, 0.3), rng.Gaussian(0, 0.3), 1, t);
   }
-  std::vector<Snippet> snippets = SplitSequence(seq);
+  std::vector<Snippet> snippets = SplitSequence(block);
   // The floor boundary must coincide with a snippet boundary.
   bool boundary_at_25 = false;
   for (const Snippet& s : snippets) {
@@ -141,13 +140,13 @@ TEST(SplitterTest, FloorSeparatesNeighbourhoods) {
 }
 
 TEST(SplitterTest, MinSnippetMergesFragments) {
-  PositioningSequence seq = WalkDwellWalk(15, 40, 5);
+  RecordBlock block = WalkDwellWalk(15, 40, 5);
   SplitterOptions no_merge;
   no_merge.min_snippet = 0;
   SplitterOptions merge;
   merge.min_snippet = 60 * kMillisPerSecond;
-  size_t with = SplitSequence(seq, merge).size();
-  size_t without = SplitSequence(seq, no_merge).size();
+  size_t with = SplitSequence(block, merge).size();
+  size_t without = SplitSequence(block, no_merge).size();
   EXPECT_LE(with, without);
 }
 
@@ -158,21 +157,21 @@ class SplitterSweep
 
 TEST_P(SplitterSweep, AlwaysPartitions) {
   auto [eps, min_pts] = GetParam();
-  PositioningSequence seq = WalkDwellWalk(20, 30, 7);
+  RecordBlock block = WalkDwellWalk(20, 30, 7);
   SplitterOptions opt;
   opt.eps_space = eps;
   opt.min_pts = min_pts;
   opt.min_snippet = 0;
-  std::vector<Snippet> snippets = SplitSequence(seq, opt);
+  std::vector<Snippet> snippets = SplitSequence(block, opt);
   ASSERT_FALSE(snippets.empty());
   EXPECT_EQ(snippets.front().begin, 0u);
-  EXPECT_EQ(snippets.back().end, seq.records.size());
+  EXPECT_EQ(snippets.back().end, block.Size());
   size_t covered = 0;
   for (const Snippet& s : snippets) {
     EXPECT_LT(s.begin, s.end);
     covered += s.Size();
   }
-  EXPECT_EQ(covered, seq.records.size());
+  EXPECT_EQ(covered, block.Size());
 }
 
 INSTANTIATE_TEST_SUITE_P(EpsAndDensity, SplitterSweep,
@@ -197,13 +196,13 @@ std::string Describe(const std::vector<Snippet>& snippets) {
 // A time-sorted walk of 0-120 records on 1-3 floors: dwell jitter, steps of
 // exactly `eps` from the predecessor (axis-aligned or at a random angle), far
 // jumps, floor changes, repeated timestamps, and NaN / +-inf coordinates.
-PositioningSequence RandomSplitInput(Rng* rng, double eps) {
+RecordBlock RandomSplitInput(Rng* rng, double eps) {
   // Non-finite or negative radii still need a finite geometry scale.
   const double step = std::isfinite(eps) && eps > 0 ? eps : 3.0;
   const int floors = static_cast<int>(rng->UniformInt(1, 3));
   const size_t n = static_cast<size_t>(rng->UniformInt(0, 120));
-  PositioningSequence seq;
-  seq.device_id = "parity";
+  RecordBlock block;
+  block.device_id = "parity";
   TimestampMs t = rng->UniformInt(0, 1'000'000);
   double x = rng->Uniform(-20, 20);
   double y = rng->Uniform(-20, 20);
@@ -245,13 +244,13 @@ PositioningSequence RandomSplitInput(Rng* rng, double eps) {
         break;
     }
     if (rng->Chance(0.1)) floor = static_cast<geo::FloorId>(rng->UniformInt(0, floors - 1));
-    seq.records.emplace_back(x, y, floor, t);
+    block.Append(x, y, floor, t);
   }
-  return seq;
+  return block;
 }
 
-// Both layouts of the block kernel equal the sequential scan, snippet for
-// snippet, over random inputs and every option edge: zero, negative, NaN and
+// The block kernel equals the sequential scan, snippet for snippet, over
+// random inputs and every option edge: zero, negative, NaN and
 // infinite radii, negative and zero time windows, min_pts 0-10. For 2.5 the
 // squared-radius bound lies one ulp above 2.5 * 2.5; for the others they are
 // equal.
@@ -267,15 +266,13 @@ TEST(SplitterParityTest, RandomBlocksMatchReference) {
     opt.eps_time = kEpsTime[rng.UniformInt(0, 3)];
     opt.min_pts = static_cast<size_t>(rng.UniformInt(0, 10));
     opt.min_snippet = kMinSnippet[rng.UniformInt(0, 2)];
-    const PositioningSequence seq = RandomSplitInput(&rng, opt.eps_space);
-    const RecordBlock block = RecordBlock::FromSequence(seq);
+    const RecordBlock block = RandomSplitInput(&rng, opt.eps_space);
 
-    const std::vector<Snippet> expected = testing::ReferenceSplit(seq, opt);
+    const std::vector<Snippet> expected = testing::ReferenceSplit(block, opt);
     for (const Snippet& s : expected) dense_cases += s.dense;
     ASSERT_EQ(Describe(SplitSequence(block, opt)), Describe(expected))
-        << "case " << c << " n=" << seq.records.size() << " eps_space=" << opt.eps_space
+        << "case " << c << " n=" << block.Size() << " eps_space=" << opt.eps_space
         << " eps_time=" << opt.eps_time << " min_pts=" << opt.min_pts;
-    ASSERT_EQ(Describe(SplitSequence(seq, opt)), Describe(expected)) << "case " << c;
   }
   // The inputs exercise clustering, not just noise.
   EXPECT_GT(dense_cases, 5'000u);
@@ -284,35 +281,34 @@ TEST(SplitterParityTest, RandomBlocksMatchReference) {
 // sqrt(6.250000000000001) rounds to 2.5, so a pair at that squared distance
 // is within eps_space = 2.5 although its square exceeds 2.5 * 2.5.
 TEST(SplitterParityTest, PairAtTheRadiusIsANeighbour) {
-  PositioningSequence seq;
-  seq.records.emplace_back(0.0, 0.0, 0, 0);
-  seq.records.emplace_back(2.4886869392485473, 0.23756539818268532, 0, 1000);
-  const geo::Point2 d = seq.records[1].location.xy - seq.records[0].location.xy;
+  RecordBlock block;
+  block.Append(0.0, 0.0, 0, 0);
+  block.Append(2.4886869392485473, 0.23756539818268532, 0, 1000);
+  const geo::Point2 d = block.XY(1) - block.XY(0);
   ASSERT_GT(d.NormSq(), 2.5 * 2.5);
   ASSERT_EQ(d.Norm(), 2.5);
   SplitterOptions opt;
   opt.eps_space = 2.5;
   opt.min_pts = 2;
   opt.min_snippet = 0;
-  EXPECT_EQ(Describe(testing::ReferenceSplit(seq, opt)), "[0,2 dense)");
-  EXPECT_EQ(Describe(SplitSequence(seq, opt)), "[0,2 dense)");
+  EXPECT_EQ(Describe(testing::ReferenceSplit(block, opt)), "[0,2 dense)");
+  EXPECT_EQ(Describe(SplitSequence(block, opt)), "[0,2 dense)");
 }
 
 // A NaN fix is not within any radius of itself: it has no neighbours, so with
 // min_pts 2 it is noise while its finite neighbours cluster.
 TEST(SplitterParityTest, NaNFixIsNotItsOwnNeighbour) {
-  PositioningSequence seq;
+  RecordBlock block;
   for (int i = 0; i < 6; ++i) {
-    seq.records.emplace_back(i == 3 ? kNaN : 0.1 * i, 0.0, 0,
+    block.Append(i == 3 ? kNaN : 0.1 * i, 0.0, 0,
                              static_cast<TimestampMs>(i) * 1000);
   }
   SplitterOptions opt;
   opt.min_pts = 2;
   opt.min_snippet = 0;
   const std::string expected = "[0,3 dense)[3,4)[4,6 dense)";
-  EXPECT_EQ(Describe(testing::ReferenceSplit(seq, opt)), expected);
-  EXPECT_EQ(Describe(SplitSequence(seq, opt)), expected);
-  EXPECT_EQ(Describe(SplitSequence(RecordBlock::FromSequence(seq), opt)), expected);
+  EXPECT_EQ(Describe(testing::ReferenceSplit(block, opt)), expected);
+  EXPECT_EQ(Describe(SplitSequence(block, opt)), expected);
 }
 
 }  // namespace

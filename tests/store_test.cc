@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -23,6 +23,7 @@
 #include "store/manifest.h"
 #include "store/segment_codec.h"
 #include "store/trip_store.h"
+#include "testing/reference_store.h"
 #include "viewer/store_view.h"
 
 namespace trips::store {
@@ -103,36 +104,47 @@ size_t CountSegmentFiles(const std::string& directory) {
   return files;
 }
 
-// Sets (value != nullptr) or clears (value == nullptr) an environment
-// variable for one scope, restoring the previous state on destruction — the
-// store tests that assert lazy/eager behavior must control
-// TRIPS_STORE_NO_MMAP even when the surrounding test run sets it (CI runs
-// the whole store suite under the kill switch).
-class ScopedEnvVar {
- public:
-  ScopedEnvVar(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnvVar() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
+// A well-formed segment of the retired v1 format ("TSG1", no footer): one
+// sequence of device "legacy-dev" with one stay in region 1 ("R1") over
+// [0, 60] ms. The v1 layout is magic, version 1, the string table, the
+// sequence count, then per sequence the device id, the triplet count and each
+// triplet's event<<1|inferred, zigzag region, name, zigzag begin delta and
+// zigzag duration as varints.
+std::string LegacyV1Segment() {
+  std::string blob("TSG1\x01", 5);
+  blob += "\x03\x0alegacy-dev\x04stay\x02R1";  // 3 strings
+  blob += std::string("\x01\x00\x01", 3);  // 1 sequence: device 0, 1 triplet
+  blob += std::string("\x02\x02\x02\x00\x78", 5);  // stay, 1, "R1", +0, 60 ms
+  return blob;
+}
 
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
+// The fixed footer that ends every segment blob: nine u64 fields (section
+// offsets, counts, base ordinal, span), a padded flag word, the checksum of
+// everything before the footer, and the trailing magic.
+constexpr size_t kFooterChecksumAt = 9 * 8 + 4;
+constexpr size_t kFooterBytes = kFooterChecksumAt + 8 + 4;
+constexpr size_t kFooterBodyOffset = 1;        // u64 field: body start
+constexpr size_t kFooterSeqOffsetsOffset = 2;  // u64 field: offset table start
+
+uint64_t FooterField(const std::string& blob, size_t field) {
+  const char* p = blob.data() + blob.size() - kFooterBytes + 8 * field;
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
+  }
+  return v;
+}
+
+// Recomputes the footer checksum after an edit of the bytes before the
+// footer, so the edited blob passes the checksum and reaches the body parser.
+void Reseal(std::string* blob) {
+  const size_t footer = blob->size() - kFooterBytes;
+  uint64_t checksum = SegmentChecksum(std::string_view(*blob).substr(0, footer));
+  for (int i = 0; i < 8; ++i) {
+    (*blob)[footer + kFooterChecksumAt + i] =
+        static_cast<char>((checksum >> (8 * i)) & 0xff);
+  }
+}
 
 // Every query surface of a store folded into one comparable string: stats,
 // per-device histories, the flow matrix, and region/range scans over several
@@ -176,46 +188,6 @@ std::string AnswerSignature(const TripStore& stored) {
     out << '\n';
   }
   return out.str();
-}
-
-TEST(SegmentCodecTest, RoundTripIsLosslessAndByteStable) {
-  std::vector<core::MobilitySemanticsSequence> corpus = TrickyCorpus();
-  std::string blob = EncodeSegment(corpus);
-  auto decoded = DecodeSegment(blob);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded->size(), corpus.size());
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    EXPECT_EQ((*decoded)[i].device_id, corpus[i].device_id) << i;
-    EXPECT_EQ((*decoded)[i].semantics, corpus[i].semantics) << i;
-  }
-  // Re-encoding the decoded corpus reproduces the blob byte for byte.
-  EXPECT_EQ(EncodeSegment(*decoded), blob);
-}
-
-TEST(SegmentCodecTest, RejectsForeignAndCorruptBlobs) {
-  EXPECT_FALSE(DecodeSegment("").ok());
-  EXPECT_FALSE(DecodeSegment("JSON{}").ok());
-  std::string blob = EncodeSegment(TrickyCorpus());
-  EXPECT_FALSE(DecodeSegment(std::string_view(blob).substr(0, blob.size() / 2)).ok());
-  EXPECT_FALSE(DecodeSegment(blob + "x").ok());
-  std::string wrong_version = blob;
-  wrong_version[4] = 9;
-  EXPECT_FALSE(DecodeSegment(wrong_version).ok());
-  // A corrupt count larger than the remaining bytes must fail cleanly, not
-  // feed an absurd value to reserve().
-  std::string huge_count(kSegmentMagic, sizeof(kSegmentMagic));
-  huge_count.push_back(1);  // version
-  huge_count += std::string("\xff\xff\xff\xff\xff\xff\xff\x7f", 8);  // 2^49-ish
-  EXPECT_FALSE(DecodeSegment(huge_count).ok());
-  // A negative triplet duration (zigzag(-1)) violates the begin<=end
-  // invariant Append enforces and must be rejected, not indexed.
-  std::string bad_range(kSegmentMagic, sizeof(kSegmentMagic));
-  bad_range.push_back(1);                           // version
-  bad_range += std::string("\x01\x01", 2);          // 1 string: "a"
-  bad_range += "a";
-  bad_range += std::string("\x01\x00\x01", 3);      // 1 sequence, device 0, 1 triplet
-  bad_range += std::string("\x00\x00\x00\x00\x01", 5);  // duration = zigzag^-1(1) = -1
-  EXPECT_FALSE(DecodeSegment(bad_range).ok());
 }
 
 TEST(SegmentCodecV2Test, RoundTripIsLosslessAndByteStable) {
@@ -273,6 +245,8 @@ TEST(SegmentCodecV2Test, FooterIndexesWithoutTouchingTheBody) {
 }
 
 TEST(SegmentCodecV2Test, RejectsCorruptBlobs) {
+  EXPECT_FALSE(DecodeSegment("").ok());
+  EXPECT_FALSE(DecodeSegment("JSON{}").ok());
   std::string blob = EncodeSegmentV2(TrickyCorpus(), 0);
   // Truncation kills both the full decode and the footer parse.
   std::string_view half = std::string_view(blob).substr(0, blob.size() / 2);
@@ -287,9 +261,56 @@ TEST(SegmentCodecV2Test, RejectsCorruptBlobs) {
   bad_tail[blob.size() - 1] ^= 0x01;
   EXPECT_FALSE(ReadSegmentFooter(bad_tail).ok());
   EXPECT_FALSE(DecodeSegment(bad_tail).ok());
-  // The footer parser refuses v1 blobs outright.
-  EXPECT_FALSE(ReadSegmentFooter(EncodeSegment(TrickyCorpus())).ok());
+  // Blobs of the retired v1 format are foreign bytes to both parsers.
+  EXPECT_FALSE(ReadSegmentFooter(LegacyV1Segment()).ok());
+  EXPECT_FALSE(DecodeSegment(LegacyV1Segment()).ok());
+  std::string v1_magic = blob;
+  v1_magic[3] = '1';
+  EXPECT_FALSE(ReadSegmentFooter(v1_magic).ok());
+  EXPECT_FALSE(DecodeSegment(v1_magic).ok());
   EXPECT_FALSE(ReadSegmentFooter("").ok());
+}
+
+// Corrupt bodies whose checksum was recomputed to match: the footer parse and
+// the checksum pass, so only the body parser's own guards stand between the
+// bytes and the decoded sequences.
+TEST(SegmentCodecV2Test, BodyGuardsRejectCorruptionUnderAValidChecksum) {
+  core::MobilitySemanticsSequence seq;
+  seq.device_id = "d";
+  seq.semantics.push_back(Triplet(core::kEventStay, 1, "R", 100, 130));
+  const std::string blob = EncodeSegmentV2({seq}, 0);
+  const size_t body = static_cast<size_t>(FooterField(blob, kFooterBodyOffset));
+  const size_t offsets =
+      static_cast<size_t>(FooterField(blob, kFooterSeqOffsetsOffset));
+  // The one sequence block: device id, triplet count, then the five columns,
+  // the last of which is the duration zigzag(30) = 60.
+  ASSERT_EQ(blob[body + 1], 1);
+  ASSERT_EQ(blob[offsets - 1], 60);
+  std::string resealed = blob;
+  Reseal(&resealed);
+  ASSERT_EQ(resealed, blob);
+  ASSERT_TRUE(DecodeSegment(resealed).ok());
+
+  auto rejects = [](std::string edited, const std::string& guard) {
+    Reseal(&edited);
+    ASSERT_TRUE(ReadSegmentFooter(edited).ok()) << guard;
+    Status status = DecodeSegment(edited).status();
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << guard;
+    EXPECT_NE(status.message().find(guard), std::string::npos)
+        << status.ToString();
+  };
+  // A triplet count larger than the bytes left could ever hold.
+  std::string huge_count = blob;
+  huge_count[body + 1] = 0x7f;
+  rejects(huge_count, "sequence header");
+  // A negative duration, zigzag(-1) = 1: Append never stores end < begin.
+  std::string negative = blob;
+  negative[offsets - 1] = 0x01;
+  rejects(negative, "invalid triplet");
+  // A sequence offset one past the end of the body.
+  std::string past_end = blob;
+  past_end[offsets] = static_cast<char>(offsets - body + 1);
+  rejects(past_end, "sequence offset");
 }
 
 TEST(CompactionPlanTest, MergesOldestAdjacentRun) {
@@ -341,7 +362,7 @@ TEST(CompactionPlanTest, RespectsMinRun) {
 }
 
 TEST(ManifestTest, RoundTripsAndRejectsTornFiles) {
-  std::string dir = testing::TempDir() + "/trips_manifest_test";
+  std::string dir = ::testing::TempDir() + "/trips_manifest_test";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   EXPECT_FALSE(ReadManifest(dir).ok());  // NotFound on a fresh directory
@@ -672,8 +693,8 @@ class StorePersistenceFixture : public StoreQueryFixture {
   void SetUp() override {
     // Per-test directory: ctest runs each test as its own process, possibly
     // in parallel, and a shared path makes sibling tests trample each other.
-    dir_ = testing::TempDir() + "/trips_store_test_" +
-           testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = ::testing::TempDir() + "/trips_store_test_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -803,9 +824,10 @@ TEST_F(StorePersistenceFixture, ConcurrentReopenKeepsEveryCheckpoint) {
   EXPECT_EQ(final_metrics->counter("store.dropped_segments")->Value(), 0u);
 }
 
-// The acceptance matrix: every query answer is identical across mmap on/off,
-// compaction on/off, and 0/1/4 workers, including reopening after the
-// directory has been rewritten by compaction.
+// The acceptance matrix: every query answer of a lazily opened store equals
+// the eager reference (every listed file decoded up front into a memory-only
+// store) across compaction on/off and 0/1/4 workers, including reopening
+// after the directory has been rewritten by compaction.
 TEST_F(StorePersistenceFixture, QueryParityAcrossMmapCompactionWorkers) {
   std::vector<core::MobilitySemanticsSequence> corpus = Corpus();
   StoreOptions seed = DiskOptions();
@@ -827,49 +849,46 @@ TEST_F(StorePersistenceFixture, QueryParityAcrossMmapCompactionWorkers) {
   }
   std::string reference;
   {
-    StoreOptions eager = seed;
-    eager.mmap = false;
-    auto stored = TripStore::Open(eager);
-    ASSERT_TRUE(stored.ok());
+    auto stored = testing::OpenReferenceStore(dir_);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
     reference = AnswerSignature(**stored);
   }
   ASSERT_FALSE(reference.empty());
 
-  for (bool mmap : {false, true}) {
-    for (bool compaction : {false, true}) {
-      for (size_t workers : {size_t{0}, size_t{1}, size_t{4}}) {
-        StoreOptions options = seed;
-        options.mmap = mmap;
-        options.compaction = compaction;
-        options.worker_threads = workers;
-        auto stored = TripStore::Open(options);
-        ASSERT_TRUE(stored.ok()) << stored.status().ToString();
-        if (compaction) {
-          ASSERT_TRUE((*stored)->Compact().ok());
-          EXPECT_LE((*stored)->Stats().segments, 2u);
-        }
-        EXPECT_EQ(AnswerSignature(**stored), reference)
-            << "mmap=" << mmap << " compaction=" << compaction
-            << " workers=" << workers;
+  for (bool compaction : {false, true}) {
+    for (size_t workers : {size_t{0}, size_t{1}, size_t{4}}) {
+      StoreOptions options = seed;
+      options.compaction = compaction;
+      options.worker_threads = workers;
+      auto stored = TripStore::Open(options);
+      ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+      if (compaction) {
+        ASSERT_TRUE((*stored)->Compact().ok());
+        EXPECT_LE((*stored)->Stats().segments, 2u);
       }
+      EXPECT_EQ(AnswerSignature(**stored), reference)
+          << "compaction=" << compaction << " workers=" << workers;
     }
   }
 
   // The compacted directory reopens to the same answers, with one live file
-  // per segment (stale pre-merge files were deleted).
+  // per segment (stale pre-merge files were deleted), and so does the
+  // reference built from the rewritten files.
   auto reopened = TripStore::Open(seed);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(AnswerSignature(**reopened), reference);
   EXPECT_EQ(CountSegmentFiles(dir_), (*reopened)->Stats().segments);
+  auto compacted_reference = testing::OpenReferenceStore(dir_);
+  ASSERT_TRUE(compacted_reference.ok());
+  EXPECT_EQ(AnswerSignature(**compacted_reference), reference);
 }
 
 TEST_F(StorePersistenceFixture, MmapOpenMaterializesLazily) {
-  ScopedEnvVar clear_kill_switch("TRIPS_STORE_NO_MMAP", nullptr);
   {
     std::unique_ptr<TripStore> stored = MakeStore(dir_);
     ASSERT_TRUE(stored->Flush().ok());
   }
-  auto lazy = TripStore::Open(DiskOptions());  // mmap defaults on
+  auto lazy = TripStore::Open(DiskOptions());
   ASSERT_TRUE(lazy.ok());
   StoreStats cold = (*lazy)->Stats();
   EXPECT_EQ(cold.segments, 3u);
@@ -885,35 +904,10 @@ TEST_F(StorePersistenceFixture, MmapOpenMaterializesLazily) {
                               const core::MobilitySemanticsSequence&) {});
   EXPECT_EQ((*lazy)->Stats().materialized_segments, 3u);
 
-  // The eager parity path decodes everything at open and answers identically.
-  StoreOptions eager_options = DiskOptions();
-  eager_options.mmap = false;
-  auto eager = TripStore::Open(eager_options);
-  ASSERT_TRUE(eager.ok());
-  EXPECT_EQ((*eager)->Stats().materialized_segments, 3u);
+  // The eager reference decodes everything up front and answers identically.
+  auto eager = testing::OpenReferenceStore(dir_);
+  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
   EXPECT_EQ(AnswerSignature(**eager), AnswerSignature(**lazy));
-}
-
-TEST_F(StorePersistenceFixture, EnvKillSwitchForcesEagerDecode) {
-  {
-    std::unique_ptr<TripStore> stored = MakeStore(dir_);
-    ASSERT_TRUE(stored->Flush().ok());
-  }
-  auto forced = [&] {
-    ScopedEnvVar kill_switch("TRIPS_STORE_NO_MMAP", "1");
-    return TripStore::Open(DiskOptions());
-  }();
-  ASSERT_TRUE(forced.ok());
-  EXPECT_EQ((*forced)->Stats().materialized_segments,
-            (*forced)->Stats().segments);
-  // "0" is not an opt-in: the switch stays off and segments stay lazy.
-  auto lazy = [&] {
-    ScopedEnvVar kill_switch("TRIPS_STORE_NO_MMAP", "0");
-    return TripStore::Open(DiskOptions());
-  }();
-  ASSERT_TRUE(lazy.ok());
-  EXPECT_EQ((*lazy)->Stats().materialized_segments, 0u);
-  EXPECT_EQ(AnswerSignature(**forced), AnswerSignature(**lazy));
 }
 
 TEST_F(StorePersistenceFixture, SealingCompactsPostingsTail) {
@@ -1018,13 +1012,35 @@ TEST_F(StorePersistenceFixture, DropsTruncatedSegmentOnReopen) {
   }
   ASSERT_FALSE(victim.empty());
   std::filesystem::resize_file(victim, std::filesystem::file_size(victim) / 2);
+  // A checkpointed file of the retired v1 format, listed with its true
+  // checksum, is as unreadable as the torn one.
+  const std::string legacy_name =
+      victim.parent_path().filename().string() + "/segment-000009.tseg";
+  const std::filesystem::path legacy = std::filesystem::path(dir_) / legacy_name;
+  {
+    std::ofstream out(legacy, std::ofstream::binary);
+    out << LegacyV1Segment();
+  }
+  {
+    auto read = ReadManifest(dir_);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    Manifest manifest = std::move(read).ValueOrDie();
+    manifest.segments.push_back(
+        {legacy_name, 7, 1, 0, SegmentChecksum(LegacyV1Segment())});
+    ASSERT_TRUE(WriteManifest(dir_, manifest).ok());
+  }
 
   {
-    auto reopened = TripStore::Open(DiskOptions());
+    auto metrics = std::make_shared<obs::MetricsRegistry>();
+    StoreOptions options = DiskOptions();
+    options.metrics = metrics;
+    auto reopened = TripStore::Open(options);
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     StoreStats stats = (*reopened)->Stats();
     EXPECT_EQ(stats.sequences, 6u);  // the torn segment's sequence is gone
     EXPECT_EQ(stats.segments, 2u);
+    EXPECT_EQ(metrics->counter("store.dropped_segments")->Value(), 2u);
+    EXPECT_TRUE((*reopened)->DeviceHistory("legacy-dev").Empty());
     EXPECT_TRUE((*reopened)->DeviceHistory("dev-6").Empty());
     EXPECT_EQ((*reopened)->DeviceHistory("dev-0").Size(), 5u);
     // The surviving index still agrees with a brute-force scan.
@@ -1033,16 +1049,18 @@ TEST_F(StorePersistenceFixture, DropsTruncatedSegmentOnReopen) {
       EXPECT_EQ((*reopened)->RegionVisitors(region, span.begin, span.end),
                 BruteForceVisitors(**reopened, region, span.begin, span.end));
     }
-    // The torn file is spared on this open (it is still manifest-referenced,
-    // and might hold forensic value) ...
+    // The dropped files are spared on this open (they are still manifest-
+    // referenced, and might hold forensic value) ...
     EXPECT_TRUE(std::filesystem::exists(victim));
-    ASSERT_TRUE((*reopened)->Flush().ok());  // checkpoint without the victim
+    EXPECT_TRUE(std::filesystem::exists(legacy));
+    ASSERT_TRUE((*reopened)->Flush().ok());  // checkpoint without them
   }
-  // ... but once a checkpoint no longer references it, the next open removes
-  // the stray and serves the same six sequences.
+  // ... but once a checkpoint no longer references them, the next open
+  // removes the strays and serves the same six sequences.
   auto third = TripStore::Open(DiskOptions());
   ASSERT_TRUE(third.ok());
   EXPECT_FALSE(std::filesystem::exists(victim));
+  EXPECT_FALSE(std::filesystem::exists(legacy));
   EXPECT_EQ((*third)->Stats().sequences, 6u);
 }
 
@@ -1060,10 +1078,21 @@ TEST_F(StorePersistenceFixture, ScanFallbackRecoversFromTornManifest) {
                        std::ofstream::trunc);
     torn << "{ \"format\": 1, \"segments\": [";
   }
+  // The scan meets a file of the retired v1 format among the segments and
+  // drops it like any torn file.
   {
-    auto reopened = TripStore::Open(DiskOptions());
+    std::ofstream out(std::filesystem::path(dir_) / "part-0" / "segment-000009.tseg",
+                      std::ofstream::binary);
+    out << LegacyV1Segment();
+  }
+  {
+    auto metrics = std::make_shared<obs::MetricsRegistry>();
+    StoreOptions options = DiskOptions();
+    options.metrics = metrics;
+    auto reopened = TripStore::Open(options);
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     EXPECT_EQ(AnswerSignature(**reopened), reference);
+    EXPECT_EQ(metrics->counter("store.dropped_segments")->Value(), 1u);
   }
   // The fallback rewrote a valid manifest checkpoint.
   auto manifest = ReadManifest(dir_);
@@ -1121,6 +1150,114 @@ TEST_F(StorePersistenceFixture, CleansInterruptedCompactionLeftovers) {
   EXPECT_FALSE(std::filesystem::exists(orphan));
   EXPECT_FALSE(std::filesystem::exists(temp));
   EXPECT_EQ(CountSegmentFiles(dir_), 3u);
+}
+
+// A background merge that cannot write its output is counted when it fails
+// and returned by the next Compact(), instead of being lost.
+TEST_F(StorePersistenceFixture, ReportsFailedBackgroundMerge) {
+  auto metrics = std::make_shared<obs::MetricsRegistry>();
+  StoreOptions options = DiskOptions();
+  options.metrics = metrics;  // no workers: each Flush runs its merge inline
+  auto stored = TripStore::Open(options);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  // The two flushes write segment files 0 and 1, so the merge of the two
+  // reserves file 2; a non-empty directory under that name blocks the rename.
+  std::filesystem::create_directories(std::filesystem::path(dir_) / "part-0" /
+                                      "segment-000002.tseg" / "occupied");
+  std::vector<core::MobilitySemanticsSequence> corpus = Corpus();
+  for (size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE((*stored)->Append(corpus[i]).ok());
+    ASSERT_TRUE((*stored)->Flush().ok());  // the merge's failure is not Flush's
+  }
+  EXPECT_EQ(metrics->counter("store.compactions")->Value(), 0u);
+  EXPECT_EQ(metrics->counter("store.compaction_errors")->Value(), 1u);
+  EXPECT_EQ((*stored)->Stats().segments, 2u);
+
+  // The next Compact merges under a fresh name and reports the earlier
+  // failure; once reported, it is not reported again.
+  Status reported = (*stored)->Compact();
+  EXPECT_EQ(reported.code(), StatusCode::kIOError) << reported.ToString();
+  EXPECT_EQ(metrics->counter("store.compactions")->Value(), 1u);
+  EXPECT_EQ((*stored)->Stats().segments, 1u);
+  EXPECT_TRUE((*stored)->Compact().ok());
+  EXPECT_EQ(metrics->counter("store.compaction_errors")->Value(), 1u);
+}
+
+// A segment whose body fails its checksum is served as placeholders; a merge
+// must not write those placeholders into a fresh, valid file and delete the
+// original. It writes nothing, keeps the file and its manifest entry, leaves
+// the segment out of later plans, and reports the failure.
+TEST_F(StorePersistenceFixture, CompactionKeepsSegmentThatFailsToDecode) {
+  StoreOptions options = DiskOptions();
+  options.compaction = false;
+  {
+    auto stored = TripStore::Open(options);
+    ASSERT_TRUE(stored.ok());
+    core::MobilitySemanticsSequence a;
+    a.device_id = "dev-a";
+    a.semantics.push_back(Triplet(core::kEventStay, 1, "Atrium", 0, kMillisPerMinute));
+    core::MobilitySemanticsSequence b;
+    b.device_id = "dev-b";
+    b.semantics.push_back(Triplet(core::kEventStay, 2, "Bakery",
+                                  2 * kMillisPerMinute, 3 * kMillisPerMinute));
+    ASSERT_TRUE((*stored)->Append(a).ok());
+    ASSERT_TRUE((*stored)->Flush().ok());
+    ASSERT_TRUE((*stored)->Append(b).ok());
+    ASSERT_TRUE((*stored)->Flush().ok());
+  }
+  // Flip one byte of a region name in dev-a's segment. The string table is
+  // covered by the body checksum, which only a lazy decode verifies (device
+  // names would also change the footer index, which is read unverified).
+  std::filesystem::path corrupt;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(dir_)) {
+    if (!entry.is_regular_file() || entry.path().extension() != ".tseg") continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::string blob((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    size_t at = blob.find("Atrium");
+    if (at == std::string::npos) continue;
+    corrupt = entry.path();
+    blob[at] ^= 0x20;
+    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
+    out << blob;
+  }
+  ASSERT_FALSE(corrupt.empty());
+
+  auto metrics = std::make_shared<obs::MetricsRegistry>();
+  options.compaction = true;
+  options.metrics = metrics;
+  {
+    auto stored = TripStore::Open(options);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    ASSERT_TRUE((*stored)->Flush().ok());  // plans the merge of both segments
+    EXPECT_EQ(metrics->counter("store.decode_errors")->Value(), 1u);
+    EXPECT_EQ(metrics->counter("store.compactions")->Value(), 0u);
+    EXPECT_EQ(metrics->counter("store.compaction_errors")->Value(), 1u);
+    Status reported = (*stored)->Compact();
+    EXPECT_EQ(reported.code(), StatusCode::kParseError) << reported.ToString();
+    // Later plans skip the segment, so nothing fails again.
+    EXPECT_TRUE((*stored)->Compact().ok());
+    EXPECT_EQ(metrics->counter("store.compaction_errors")->Value(), 1u);
+    EXPECT_EQ((*stored)->Stats().segments, 2u);
+  }
+  EXPECT_TRUE(std::filesystem::exists(corrupt));
+  EXPECT_EQ(CountSegmentFiles(dir_), 2u);
+  auto manifest = ReadManifest(dir_);
+  ASSERT_TRUE(manifest.ok());
+  EXPECT_EQ(manifest->segments.size(), 2u);
+
+  // A reopen still sees the corruption, and dev-b's segment is intact.
+  auto reopen_metrics = std::make_shared<obs::MetricsRegistry>();
+  options.metrics = reopen_metrics;
+  auto reopened = TripStore::Open(options);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->Devices(), (std::vector<std::string>{"dev-a", "dev-b"}));
+  core::MobilitySemanticsSequence history = (*reopened)->DeviceHistory("dev-b");
+  ASSERT_EQ(history.Size(), 1u);
+  EXPECT_EQ(history.semantics[0].region_name, "Bakery");
+  (*reopened)->ForEachSequence(
+      [](TripStore::SequenceId, const core::MobilitySemanticsSequence&) {});
+  EXPECT_EQ(reopen_metrics->counter("store.decode_errors")->Value(), 1u);
 }
 
 TEST_F(StorePersistenceFixture, ImportsExportedResultFiles) {

@@ -2,8 +2,8 @@
 // annotation layer's density-based split, which gathers each visited record's
 // spatio-temporal neighbours into a vector and grows clusters through a FIFO
 // frontier. It is the oracle the block kernel behind
-// annotation::SplitSequence must match snippet for snippet on both record
-// layouts (tests/splitter_test.cc checks that on randomized blocks).
+// annotation::SplitSequence must match snippet for snippet
+// (tests/splitter_test.cc checks that on randomized blocks).
 // Header-only; linked only by tests and benches.
 #pragma once
 
@@ -12,51 +12,41 @@
 #include <vector>
 
 #include "annotation/splitter.h"
-#include "positioning/record.h"
 #include "positioning/record_block.h"
 
 namespace trips::annotation::testing {
 
 // Collects indices of the spatio-temporal neighbours of record i. Records are
-// time-sorted, so the temporal window bounds the scan. Templated over the
-// record layout (AoS sequence / SoA block); both instantiations run the same
-// arithmetic.
-template <typename Source>
-std::vector<size_t> Neighbours(const Source& src, size_t i,
-                               const SplitterOptions& opt) {
-  using positioning::FloorAt;
-  using positioning::RecordCount;
-  using positioning::TimeAt;
-  using positioning::XYAt;
+// time-sorted, so the temporal window bounds the scan.
+inline std::vector<size_t> Neighbours(const positioning::RecordBlock& block,
+                                      size_t i, const SplitterOptions& opt) {
   std::vector<size_t> out;
-  const size_t n = RecordCount(src);
-  const TimestampMs ti = TimeAt(src, i);
-  const geo::Point2 pi = XYAt(src, i);
-  const geo::FloorId fi = FloorAt(src, i);
+  const size_t n = block.Size();
+  const TimestampMs ti = block.timestamps[i];
+  const geo::Point2 pi = block.XY(i);
+  const geo::FloorId fi = block.floors[i];
   // Scan backwards (excluding self).
   for (size_t j = i; j-- > 0;) {
-    if (ti - TimeAt(src, j) > opt.eps_time) break;
-    if (FloorAt(src, j) == fi && XYAt(src, j).DistanceTo(pi) <= opt.eps_space) {
+    if (ti - block.timestamps[j] > opt.eps_time) break;
+    if (block.floors[j] == fi && block.XY(j).DistanceTo(pi) <= opt.eps_space) {
       out.push_back(j);
     }
   }
   // Scan forwards.
   for (size_t j = i + 1; j < n; ++j) {
-    if (TimeAt(src, j) - ti > opt.eps_time) break;
-    if (FloorAt(src, j) == fi && XYAt(src, j).DistanceTo(pi) <= opt.eps_space) {
+    if (block.timestamps[j] - ti > opt.eps_time) break;
+    if (block.floors[j] == fi && block.XY(j).DistanceTo(pi) <= opt.eps_space) {
       out.push_back(j);
     }
   }
   return out;
 }
 
-/// Same contract as annotation::SplitSequence, on either record layout.
-template <typename Source>
-std::vector<Snippet> ReferenceSplit(const Source& src, const SplitterOptions& options) {
-  using positioning::RecordCount;
-  using positioning::TimeAt;
+/// Same contract as annotation::SplitSequence.
+inline std::vector<Snippet> ReferenceSplit(const positioning::RecordBlock& block,
+                                           const SplitterOptions& options) {
   std::vector<Snippet> snippets;
-  const size_t n = RecordCount(src);
+  const size_t n = block.Size();
   if (n < 2) return snippets;
 
   constexpr int kUnvisited = -2;
@@ -67,7 +57,7 @@ std::vector<Snippet> ReferenceSplit(const Source& src, const SplitterOptions& op
   // Sequential DBSCAN.
   for (size_t i = 0; i < n; ++i) {
     if (label[i] != kUnvisited) continue;
-    std::vector<size_t> nb = Neighbours(src, i, options);
+    std::vector<size_t> nb = Neighbours(block, i, options);
     if (nb.size() + 1 < options.min_pts) {
       label[i] = kNoise;
       continue;
@@ -82,7 +72,7 @@ std::vector<Snippet> ReferenceSplit(const Source& src, const SplitterOptions& op
       if (label[j] == kNoise) label[j] = cluster;  // border point
       if (label[j] != kUnvisited) continue;
       label[j] = cluster;
-      std::vector<size_t> nb2 = Neighbours(src, j, options);
+      std::vector<size_t> nb2 = Neighbours(block, j, options);
       if (nb2.size() + 1 >= options.min_pts) {
         for (size_t k : nb2) {
           if (label[k] == kUnvisited || label[k] == kNoise) frontier.push(k);
@@ -108,7 +98,7 @@ std::vector<Snippet> ReferenceSplit(const Source& src, const SplitterOptions& op
   if (options.min_snippet > 0 && snippets.size() > 1) {
     std::vector<Snippet> merged;
     for (const Snippet& s : snippets) {
-      DurationMs dur = TimeAt(src, s.end - 1) - TimeAt(src, s.begin);
+      DurationMs dur = block.timestamps[s.end - 1] - block.timestamps[s.begin];
       if (!merged.empty() && dur < options.min_snippet) {
         merged.back().end = s.end;
       } else {
